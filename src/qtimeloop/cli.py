@@ -22,19 +22,21 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config, parse_config
-from .linalg import SingularMatrixError, SplitterParams, norm_sq, random_unitary
+from .linalg import SingularMatrixError, SplitterParams, random_unitary
 from .network import SingularDenominatorError, solve_closed_form, transmitted_probability
 from .oracle import NotConvergedError, solve_by_iteration
 from .records import build_run_record, record_to_csv
 from .scenarios import (
+    SPECIAL_CASES,
     GrandfatherParams,
+    _random_state,
     build_grandfather,
     build_undo,
     grandfather_amplitude_ratios,
     grandfather_transmission,
     perturbative_check,
     phase_scan,
-    special_case_suite,
+    special_case,
 )
 from .svgplot import polyline_plot
 
@@ -75,12 +77,6 @@ def _max_relative_difference(reference, other) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
-def _random_state(seed: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / math.sqrt(norm_sq(v))
-
-
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     net, psi = parse_config(cfg)
@@ -114,24 +110,19 @@ def _report_checks(checks) -> bool:
     return passed
 
 
-def _scenario_special(name: str):
-    def run(args):
-        case = next(r for r in special_case_suite(args.seed, dim=args.dim) if r.name == name)
-        print(f"{name}: seed={args.seed} dim={args.dim}")
-        passed = _report_checks(
-            [("psi3' matches the exact limit", case.residual, case.tolerance)]
-        )
-        payload = {
-            "scenario": name,
-            "seed": args.seed,
-            "dim": args.dim,
-            "residual": case.residual,
-            "tolerance": case.tolerance,
-            "passed": passed,
-        }
-        return passed, payload
-
-    return run
+def _scenario_special(args):
+    case = special_case(args.name, args.seed, dim=args.dim)
+    print(f"{args.name}: seed={args.seed} dim={args.dim}")
+    passed = _report_checks([("psi3' matches the exact limit", case.residual, case.tolerance)])
+    payload = {
+        "scenario": args.name,
+        "seed": args.seed,
+        "dim": args.dim,
+        "residual": case.residual,
+        "tolerance": case.tolerance,
+        "passed": passed,
+    }
+    return passed, payload
 
 
 def _scenario_grandfather(args):
@@ -216,9 +207,7 @@ def _scenario_perturbative(args):
 
 
 _SCENARIOS = {
-    "no-feedback": _scenario_special("no-feedback"),
-    "full-feedback": _scenario_special("full-feedback"),
-    "equal-paths": _scenario_special("equal-paths"),
+    **dict.fromkeys(SPECIAL_CASES, _scenario_special),
     "grandfather": _scenario_grandfather,
     "undo": _scenario_undo,
     "perturbative": _scenario_perturbative,
@@ -289,10 +278,7 @@ def build_parser() -> _Parser:
     solve.set_defaults(func=cmd_solve)
 
     scenario = sub.add_parser("scenario", help="run a named worked case")
-    scenario.add_argument(
-        "name",
-        choices=("no-feedback", "full-feedback", "equal-paths", "grandfather", "undo", "perturbative"),
-    )
+    scenario.add_argument("name", choices=tuple(_SCENARIOS))
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument("--dim", type=int, default=4)
     scenario.add_argument("--beta", type=float, default=0.1)

@@ -6,10 +6,16 @@ T = M (alpha^2 G2 - beta^2 G1) and S = -i alpha beta M (G1 + G2).
 Iterating from psi4 = 0 adds one loop traversal per step, so the partial
 sums are truncated geometric series and the converged iterate certifies
 the closed-form answer without ever forming the denominator inverse.
+
+At d=1 the recurrence runs on Python ``complex`` scalars: the same multiply
+and add as the 1x1 matrix loop, without numpy's per-call dispatch on every
+traversal. Python's abs and numpy's |z| may differ in the last bits, so steps
+near a stopping test are sized by numpy; the results agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +26,8 @@ from .network import FeedbackNetwork, NetworkSolution, _assemble_solution
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
+# d=1 steps this close (relative) to tol are measured again the numpy way
+_AGREE = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,37 @@ def loop_map(net: FeedbackNetwork) -> tuple[np.ndarray, np.ndarray]:
     t = net.m @ (a * a * net.g2 - b * b * net.g1)
     s = -1j * a * b * (net.m @ (net.g1 + net.g2))
     return t, s
+
+
+def _iterate_scalar(t, drive, tol, max_iter):
+    """d=1 recurrence x <- t x + c, bit for bit what :func:`_iterate_matrix` returns."""
+    t, c = complex(t[0, 0]), complex(drive[0])
+    x = step = 0j
+    for iterations in range(1, max_iter + 1):
+        new = t * x + c
+        step, x = new - x, new
+        try:
+            if tol * _AGREE < abs(step) < 1e308:
+                continue
+        except OverflowError:  # finite parts, modulus past the float range
+            pass
+        update = float(np.abs(np.array([step]))[0])
+        if update <= tol or not math.isfinite(update):
+            break
+    update = float(np.abs(np.array([step]))[0])
+    return np.array([x]), iterations, update, update <= tol
+
+
+def _iterate_matrix(t, drive, tol, max_iter):
+    """psi4 <- T psi4 + drive from psi4 = 0; returns (psi4, iterations, update, converged)."""
+    x = np.zeros(drive.shape[0], dtype=complex)
+    for iterations in range(1, max_iter + 1):
+        new = t @ x + drive
+        update = float(np.abs(new - x).max())
+        x = new
+        if update <= tol or not math.isfinite(update):
+            break
+    return x, iterations, update, update <= tol
 
 
 def solve_by_iteration(
@@ -79,25 +118,9 @@ def solve_by_iteration(
             f"loop spectral radius estimate {radius:.4g} >= 1; iteration may not converge",
             RuntimeWarning,
         )
-    psi4 = np.zeros(net.dim, dtype=complex)
-    update_norm = float("inf")
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new = t @ psi4 + drive
-        update_norm = float(np.max(np.abs(new - psi4)))
-        psi4 = new
-        if update_norm <= tol:
-            converged = True
-            break
-        if not np.isfinite(update_norm):
-            break
-    report = IterationReport(
-        iterations_used=iterations,
-        final_update_norm=update_norm,
-        loop_spectral_radius_estimate=radius,
-        converged=converged,
-    )
+    iterate = _iterate_scalar if net.dim == 1 else _iterate_matrix
+    psi4, iterations, update_norm, converged = iterate(t, drive, tol, max_iter)
+    report = IterationReport(iterations, update_norm, radius, converged)
     if not converged:
         raise NotConvergedError(
             f"no convergence after {iterations} iterations "

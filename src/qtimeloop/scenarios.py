@@ -107,33 +107,37 @@ class SpecialCaseResult:
     passed: bool
 
 
-def _random_state(rng, dim: int) -> np.ndarray:
+def _random_state(seed: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / math.sqrt(norm_sq(v))
 
 
-def special_case_suite(seed: int, dim: int = 4, tolerance: float = 1e-11) -> list[SpecialCaseResult]:
-    """Check the three exact limits on one seeded random instance.
+# beta of each exact limit; no-feedback is alpha = 1
+_LIMIT_BETA = {"no-feedback": 0.0, "full-feedback": 1.0, "equal-paths": 0.6}
+SPECIAL_CASES = tuple(_LIMIT_BETA)
 
-    alpha=1 must reproduce g1 psi, beta=1 must reproduce -g2 psi, and
-    g2 = -g1 must reproduce g1 psi for any m. Failures are reported in the
-    returned results, never raised.
+
+def special_case(name: str, seed: int, dim: int = 4, tolerance: float = 1e-11) -> SpecialCaseResult:
+    """Check one exact limit on a seeded random instance.
+
+    no-feedback (alpha=1) must reproduce g1 psi, full-feedback (beta=1)
+    -g2 psi, and equal-paths (g2 = -g1) g1 psi for any m. A failure is
+    reported in the result, never raised.
     """
     g1 = random_unitary(dim, seed)
-    g2 = random_unitary(dim, seed + 1)
+    g2 = -g1 if name == "equal-paths" else random_unitary(dim, seed + 1)
     m = random_unitary(dim, seed + 2)
-    psi = _random_state(np.random.default_rng(seed + 3), dim)
-    cases = [
-        ("no-feedback", FeedbackNetwork(g1, g2, m, SplitterParams.from_alpha(1.0)), g1 @ psi),
-        ("full-feedback", FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(1.0)), -(g2 @ psi)),
-        ("equal-paths", FeedbackNetwork(g1, -g1, m, SplitterParams.from_beta(0.6)), g1 @ psi),
-    ]
-    results = []
-    for name, net, expected in cases:
-        sol = solve_closed_form(net, psi)
-        residual = float(np.max(np.abs(sol.psi3p - expected)))
-        results.append(SpecialCaseResult(name, residual, tolerance, residual <= tolerance))
-    return results
+    psi = _random_state(seed + 3, dim)
+    net = FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(_LIMIT_BETA[name]))
+    expected = -(g2 @ psi) if name == "full-feedback" else g1 @ psi
+    residual = float(np.max(np.abs(solve_closed_form(net, psi).psi3p - expected)))
+    return SpecialCaseResult(name, residual, tolerance, residual <= tolerance)
+
+
+def special_case_suite(seed: int, dim: int = 4, tolerance: float = 1e-11) -> list[SpecialCaseResult]:
+    """All of :data:`SPECIAL_CASES` on one seeded instance; see :func:`special_case`."""
+    return [special_case(name, seed, dim, tolerance) for name in SPECIAL_CASES]
 
 
 def perturbative_check(g1, g2, m, psi, gamma: float = 1e-4):

@@ -1,0 +1,52 @@
+"""Byte-for-byte CLI output on fixed configs.
+
+The files under ``golden/`` were written by the CLI before the d=1 fast
+paths in ``linalg.invert`` and ``oracle.solve_by_iteration`` existed; a
+change that keeps the arithmetic must reproduce them exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qtimeloop.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, {output flag: golden file written through that flag})
+CASES = {
+    "solve-oracle-grandfather": (
+        ["solve", str(GOLDEN / "grandfather_beta0.1.json"), "--oracle", "--no-timestamp"],
+        {"--out": "solve_oracle_grandfather.json"},
+    ),
+    "solve-csv-random-d4": (
+        ["solve", str(GOLDEN / "random_unitary_d4.json"), "--format", "csv", "--no-timestamp"],
+        {"--out": "solve_random_d4.csv"},
+    ),
+    "scan": (
+        ["scan", "--beta", "0.1", "--theta", "0.4", "--points", "201"],
+        {"--out": "scan_beta0.1.csv", "--svg": "scan_beta0.1.svg"},
+    ),
+    **{
+        f"scenario-{name}": (["scenario", name], {"--out": f"scenario_{name}.json"})
+        for name in (
+            "grandfather", "no-feedback", "full-feedback", "equal-paths", "undo", "perturbative"
+        )
+    },
+}
+
+
+def run_case(argv, outputs, workdir: Path) -> dict[str, bytes]:
+    """Run one CLI case, returning {golden file name: bytes written}."""
+    full = list(argv)
+    for flag, name in outputs.items():
+        full += [flag, str(workdir / name)]
+    assert main(full) == 0
+    return {name: (workdir / name).read_bytes() for name in outputs.values()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path, capsys):
+    argv, outputs = CASES[case]
+    for name, data in run_case(argv, outputs, tmp_path).items():
+        assert data == (GOLDEN / name).read_bytes(), f"{name} differs from its golden copy"

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from qtimeloop.linalg import (
     DIM_CAP,
@@ -112,6 +115,23 @@ def test_invert_singular_raises():
         invert(np.zeros((2, 2)))
     exc = pytest.raises(SingularMatrixError, invert, np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert exc.value.condition is not None
+
+
+def test_invert_zero_pivot_reports_infinite_condition():
+    for a in (np.zeros((1, 1)), np.zeros((3, 3)), np.array([[1.0, 1.0], [1.0, 1.0]])):
+        with pytest.raises(SingularMatrixError) as exc:
+            invert(a)
+        assert exc.value.condition == math.inf
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16, 64])
+def test_invert_matches_scipy_lu_reference_bit_for_bit(dim):
+    a = random_complex_matrix(np.random.default_rng(100 + dim), dim)
+    lu, piv = lu_factor(a)
+    pivots = np.abs(np.diagonal(lu))
+    inv, cond = invert(a)
+    assert inv.tobytes() == lu_solve((lu, piv), np.eye(dim, dtype=complex)).tobytes()
+    assert cond == float(pivots.max()) / float(pivots.min())
 
 
 def test_invert_residual_scales_with_condition():

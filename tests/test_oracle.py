@@ -6,7 +6,13 @@ import pytest
 
 from qtimeloop.linalg import SplitterParams, norm_sq, random_unitary, spectral_radius
 from qtimeloop.network import FeedbackNetwork, solve_closed_form, transmitted_probability, verify_fixed_point
-from qtimeloop.oracle import NotConvergedError, loop_map, solve_by_iteration
+from qtimeloop.oracle import (
+    NotConvergedError,
+    _iterate_matrix,
+    _iterate_scalar,
+    loop_map,
+    solve_by_iteration,
+)
 from qtimeloop.scenarios import GrandfatherParams, build_grandfather
 
 
@@ -173,6 +179,77 @@ def test_divergent_loop_warns_and_raises():
     with pytest.warns(RuntimeWarning, match="spectral radius"):
         with pytest.raises(NotConvergedError):
             solve_by_iteration(net, np.ones(1), max_iter=50)
+
+
+def _scalar_map(g2, splitter, psi=1.0, g1=0.0, m=1.0):
+    net = FeedbackNetwork(
+        g1=np.array([[g1]]), g2=np.array([[g2]]), m=np.array([[m]]), splitter=splitter
+    )
+    return _d1_map(net, psi)
+
+
+def _d1_map(net, psi):
+    t, s = loop_map(net)
+    return t, s @ np.array([psi], dtype=complex)
+
+
+# name -> (T, drive, max_iter) of a d=1 loop map
+D1_MAPS = {
+    **{
+        f"grandfather-beta{beta}": (
+            *_d1_map(
+                build_grandfather(GrandfatherParams(beta=beta, theta=0.7)), cmath.exp(0.9j)
+            ),
+            1_000_000,
+        )
+        for beta in (0.3, 0.1, 0.03)
+    },
+    "undriven-alpha1": (
+        *_scalar_map(cmath.exp(0.4j), SplitterParams.from_alpha(1.0), g1=0.5, m=cmath.exp(1.1j)),
+        100,
+    ),
+    "budget-3": (
+        *_d1_map(
+            build_grandfather(GrandfatherParams(beta=0.1, theta=0.7, phi=0.3)), cmath.exp(0.9j)
+        ),
+        3,
+    ),
+    # |T| > 1: the iterate overflows to inf
+    "divergent-real": (*_scalar_map(2.0, SplitterParams.from_beta(0.1)), 5000),
+    "divergent-complex": (
+        *_scalar_map(2.0 * cmath.exp(0.3j), SplitterParams.from_beta(0.1)), 5000
+    ),
+    # step 501 is 1.3e308 (1 + 1j): finite parts whose modulus overflows
+    "divergent-modulus": (
+        np.array([[4.0 + 0j]]), np.array([1.3e308 / 4.0**500 * (1 + 1j)]), 1000
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D1_MAPS))
+def test_scalar_recurrence_is_bit_equal_to_matrix_loop(case):
+    t, drive, max_iter = D1_MAPS[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = _iterate_scalar(t, drive, 1e-12, max_iter)
+        reference = _iterate_matrix(t, drive, 1e-12, max_iter)
+    assert fast[0].dtype == reference[0].dtype
+    assert fast[0].tobytes() == reference[0].tobytes()
+    assert fast[1] == reference[1]
+    assert np.float64(fast[2]).tobytes() == np.float64(reference[2]).tobytes()
+    assert fast[3] == reference[3]
+
+
+def test_scalar_recurrence_stops_where_matrix_loop_does_for_tol_on_an_update():
+    # Python's abs and numpy's |z| disagree in the last bit on many of these
+    # steps; a tol equal to (or one ulp around) an update must not tell
+    t, drive, _ = D1_MAPS["grandfather-beta0.1"]
+    for k in range(1, 40):
+        edge = _iterate_matrix(t, drive, 0.0, k)[2]
+        for tol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            fast = _iterate_scalar(t, drive, float(tol), 100)
+            reference = _iterate_matrix(t, drive, float(tol), 100)
+            assert fast[0].tobytes() == reference[0].tobytes()
+            assert fast[1:] == reference[1:]
 
 
 def test_iteration_rejects_bad_budget():
