@@ -4,7 +4,22 @@ Builds a network out of two forward channels (g1, g2), a backward
 propagator (m) and a shared two-port coupler, solves it in closed form,
 cross-validates with an independent loop-unrolling iteration, and ships
 the worked special cases plus resonance lineshape tooling.
+
+Operands are at most 64 wide, where extra OpenBLAS threads only spin, so
+importing the package loads numpy's and scipy's BLAS on one thread, unless
+a thread variable is set or numpy was imported first.
 """
+
+import os
+import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and os.environ.keys().isdisjoint(_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as .linalg loads the libraries
+    try:
+        from . import linalg
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .linalg import (
     DIM_CAP,

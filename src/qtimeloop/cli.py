@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 config/usage error or violated identity,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,6 +258,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="qtimeloop",
@@ -308,24 +310,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SingularDenominatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except NotConvergedError as exc:
-        report = exc.report
+        radius = exc.report.loop_spectral_radius_estimate
         print(
-            f"error: {exc} [spectral radius estimate "
-            f"{report.loop_spectral_radius_estimate:.4g}]",
+            f"error: {exc} [loop spectral radius {radius:.4g}, 1 - radius {1 - radius:.3g}]",
             file=sys.stderr,
         )
         return EXIT_NOT_CONVERGED
-    except (SingularMatrixError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (SingularMatrixError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

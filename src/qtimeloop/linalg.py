@@ -5,9 +5,9 @@ inputs are validated, never mutated, and every function returns fresh
 values. Dimensions are capped at ``DIM_CAP``; the interesting physics
 lives at very small d (the worked cases are scalar).
 
-:func:`invert` calls LAPACK ``zgetrf``/``zgetrs`` directly: the routines
-``scipy.linalg.lu_factor``/``lu_solve`` run for complex128, bit for bit,
-without the wrappers' per-call cost, which dominates at d=1.
+:func:`invert` calls LAPACK ``zgetrf``/``zgetrs`` (``zgetri`` at d=1)
+directly: the routines ``scipy.linalg.lu_factor``/``lu_solve`` run for
+complex128, without the wrappers' per-call cost, which dominates at d=1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import zgetrf, zgetri, zgetrs
 
 DIM_CAP = 64
 
@@ -103,6 +103,9 @@ def invert(a) -> tuple[np.ndarray, float]:
     pivot-ratio estimate max|u_ii| / min|u_ii| (adequate at the small
     dimensions this package works at). Raises :class:`SingularMatrixError`
     when a pivot underflows or the estimate exceeds ``CONDITION_CAP``.
+
+    d=1 uses ``zgetri``: there ``zgetrs`` against the identity rounds by the
+    OpenBLAS thread count, ``zgetri`` (and ``zgetrs`` at d >= 2) does not.
     """
     a = as_operator(a)
     lu, piv, info = zgetrf(a)
@@ -119,7 +122,8 @@ def invert(a) -> tuple[np.ndarray, float]:
             f"matrix is numerically singular (pivot-ratio condition {condition:.3e})",
             condition=condition,
         )
-    inverse, _ = zgetrs(lu, piv, np.eye(a.shape[0], dtype=complex))
+    n = a.shape[0]
+    inverse, _ = zgetri(lu, piv) if n == 1 else zgetrs(lu, piv, np.eye(n, dtype=complex))
     return inverse, condition
 
 

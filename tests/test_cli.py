@@ -114,6 +114,34 @@ def test_solve_divergent_oracle_exits_3(tmp_path, capsys):
     assert "convergence" in capsys.readouterr().err
 
 
+def test_not_converged_message_tells_a_near_unit_radius_from_one(tmp_path, capsys):
+    # grandfather at beta=0.003: the loop radius is alpha^2 = 0.999991
+    cfg = write_config(tmp_path, g2="phase:-1.3", m="phase:1.3", beta=0.003)
+    assert main(["solve", str(cfg), "--oracle", "--max-iter", "50"]) == 3
+    assert "1 - radius 9e-06" in capsys.readouterr().err
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "record.json"
+    assert main(["solve", str(cfg), "--oracle", "--format", "csv", "--out", str(out)]) == 0
+    assert main(["solve", str(cfg), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert "oracle" not in record
+    assert "timestamp" in record
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["--version"], 0), (["solve", "--help"], 0), (["solve"], 1), ([], 1)],
+)
+def test_help_and_usage_errors_exit_the_same_on_every_call(argv, code, capsys):
+    for _ in range(2):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert ("usage:" in captured.out + captured.err) == (argv != ["--version"])
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = write_config(tmp_path, g1="random-unitary:3", dim=2, g2="random-unitary:4",
                        m="random-unitary:5", input_state="basis:0")
