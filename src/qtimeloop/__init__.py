@@ -25,13 +25,9 @@ from .linalg import (
     DIM_CAP,
     SingularMatrixError,
     SplitterParams,
-    adjoint,
     couple,
-    coupler_matrix,
     invert,
     is_unitary,
-    mat_mul,
-    mat_vec,
     norm_sq,
     random_unitary,
     spectral_radius,
@@ -73,18 +69,14 @@ __all__ = [
     "SingularMatrixError",
     "SpecialCaseResult",
     "SplitterParams",
-    "adjoint",
     "build_grandfather",
     "build_undo",
     "couple",
-    "coupler_matrix",
     "grandfather_amplitude_ratios",
     "grandfather_transmission",
     "invert",
     "is_unitary",
     "loop_map",
-    "mat_mul",
-    "mat_vec",
     "norm_sq",
     "perturbative_check",
     "phase_scan",

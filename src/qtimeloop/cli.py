@@ -23,17 +23,17 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config, parse_config
-from .linalg import SingularMatrixError, SplitterParams, random_unitary
+from .linalg import SingularMatrixError, SplitterParams, _max_relative_difference, random_unitary
 from .network import SingularDenominatorError, solve_closed_form, transmitted_probability
 from .oracle import NotConvergedError, solve_by_iteration
 from .records import build_run_record, record_to_csv
 from .scenarios import (
     SPECIAL_CASES,
     GrandfatherParams,
+    _amplitude_ratios,
     _random_state,
     build_grandfather,
     build_undo,
-    grandfather_amplitude_ratios,
     grandfather_transmission,
     perturbative_check,
     phase_scan,
@@ -58,24 +58,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _max_relative_difference(reference, other) -> float:
-    reference = np.asarray(reference)
-    other = np.asarray(other)
-    diff = float(np.max(np.abs(reference - other)))
-    scale = float(np.max(np.abs(reference)))
-    return diff / scale if scale > 0.0 else diff
 
 
 def cmd_solve(args) -> int:
@@ -91,7 +79,9 @@ def cmd_solve(args) -> int:
                 solution.psi3p, oracle_solution.psi3p
             ),
         }
-    timestamp = None if args.no_timestamp else _utc_now()
+    timestamp = None
+    if not args.no_timestamp:
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     record = build_run_record(cfg, solution, version=__version__, timestamp=timestamp, oracle=oracle)
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
@@ -101,35 +91,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _report_checks(checks) -> bool:
-    """Print one PASS/FAIL line per (label, residual, tolerance) check."""
-    passed = True
-    for label, residual, tol in checks:
-        ok = residual <= tol
-        passed = passed and ok
-        print(f"  {'PASS' if ok else 'FAIL'}  {label} (residual {residual:.3e}, tol {tol:g})")
-    return passed
-
-
-def _scenario_special(args):
+def _run_special(args):
     case = special_case(args.name, args.seed, dim=args.dim)
-    print(f"{args.name}: seed={args.seed} dim={args.dim}")
-    passed = _report_checks([("psi3' matches the exact limit", case.residual, case.tolerance)])
-    payload = {
-        "scenario": args.name,
-        "seed": args.seed,
-        "dim": args.dim,
-        "residual": case.residual,
-        "tolerance": case.tolerance,
-        "passed": passed,
-    }
-    return passed, payload
+    checks = [("psi3' matches the exact limit", case.residual, case.tolerance)]
+    return [], checks, {"residual": case.residual, "tolerance": case.tolerance}
 
 
-def _scenario_grandfather(args):
+def _run_grandfather(args):
     params = GrandfatherParams(beta=args.beta, theta=args.theta, phi=args.phi)
-    ratios = grandfather_amplitude_ratios(params)
     sol = solve_closed_form(build_grandfather(params), np.ones(1, dtype=complex))
+    ratios = _amplitude_ratios(sol)
     transmitted = transmitted_probability(sol)
     analytic = grandfather_transmission(args.beta, args.phi)
     tol = 1e-10
@@ -142,27 +113,15 @@ def _scenario_grandfather(args):
             (label, abs(got - want), tol)
             for label, got, want in zip(labels, ratios, expected)
         ]
-    print(f"grandfather: beta={args.beta:g} theta={args.theta:g} phi={args.phi:g}")
-    print(
+    lines = [
         f"  ratios |psi1/psi|={ratios[0]:.6g} |psi2/psi|={ratios[1]:.6g} "
-        f"|psi4/psi|={ratios[2]:.6g}"
-    )
-    print(f"  transmitted={transmitted:.12g} analytic={analytic:.12g}")
-    passed = _report_checks(checks)
-    payload = {
-        "scenario": "grandfather",
-        "beta": args.beta,
-        "theta": args.theta,
-        "phi": args.phi,
-        "ratios": list(ratios),
-        "transmitted": transmitted,
-        "analytic": analytic,
-        "passed": passed,
-    }
-    return passed, payload
+        f"|psi4/psi|={ratios[2]:.6g}",
+        f"  transmitted={transmitted:.12g} analytic={analytic:.12g}",
+    ]
+    return lines, checks, {"ratios": list(ratios), "transmitted": transmitted, "analytic": analytic}
 
 
-def _scenario_undo(args):
+def _run_undo(args):
     g1 = random_unitary(args.dim, args.seed)
     g2 = random_unitary(args.dim, args.seed + 1)
     net = build_undo(g1, g2, SplitterParams.from_beta(args.beta))
@@ -170,56 +129,51 @@ def _scenario_undo(args):
     sol = solve_closed_form(net, psi)
     residual = float(np.max(np.abs(sol.psi3p - g1 @ psi)))
     tol = 1e-11
-    print(f"undo: seed={args.seed} dim={args.dim} beta={args.beta:g}")
-    passed = _report_checks([("psi3' = g1 psi (backward trip cancels the loop)", residual, tol)])
-    payload = {
-        "scenario": "undo",
-        "seed": args.seed,
-        "dim": args.dim,
-        "beta": args.beta,
-        "residual": residual,
-        "tolerance": tol,
-        "passed": passed,
-    }
-    return passed, payload
+    checks = [("psi3' = g1 psi (backward trip cancels the loop)", residual, tol)]
+    return [], checks, {"residual": residual, "tolerance": tol}
 
 
-def _scenario_perturbative(args):
+def _run_perturbative(args):
     g1 = random_unitary(args.dim, args.seed)
     g2 = random_unitary(args.dim, args.seed + 1)
     m = random_unitary(args.dim, args.seed + 2)
     psi = _random_state(args.seed + 3, args.dim)
     _, _, relative_error = perturbative_check(g1, g2, m, psi, gamma=args.gamma)
     tol = 1e-6
-    print(f"perturbative: seed={args.seed} dim={args.dim} gamma={args.gamma:g}")
-    passed = _report_checks(
-        [("finite-difference derivative matches the first-order formula", relative_error, tol)]
-    )
-    payload = {
-        "scenario": "perturbative",
-        "seed": args.seed,
-        "dim": args.dim,
-        "gamma": args.gamma,
-        "relative_error": relative_error,
-        "tolerance": tol,
-        "passed": passed,
-    }
-    return passed, payload
+    checks = [("finite-difference derivative matches the first-order formula", relative_error, tol)]
+    return [], checks, {"relative_error": relative_error, "tolerance": tol}
 
 
+# name -> (runner, arguments echoed into the header line and the --out record);
+# a runner returns (extra lines, [(label, residual, tol)] checks, result fields)
 _SCENARIOS = {
-    **dict.fromkeys(SPECIAL_CASES, _scenario_special),
-    "grandfather": _scenario_grandfather,
-    "undo": _scenario_undo,
-    "perturbative": _scenario_perturbative,
+    **dict.fromkeys(SPECIAL_CASES, (_run_special, ("seed", "dim"))),
+    "grandfather": (_run_grandfather, ("beta", "theta", "phi")),
+    "undo": (_run_undo, ("seed", "dim", "beta")),
+    "perturbative": (_run_perturbative, ("seed", "dim", "gamma")),
 }
 
 
 def cmd_scenario(args) -> int:
-    passed, payload = _SCENARIOS[args.name](args)
+    """Run one named case and print a PASS/FAIL line per identity it checks."""
+    runner, echo = _SCENARIOS[args.name]
+    lines, checks, fields = runner(args)
+    echoed = {key: getattr(args, key) for key in echo}
+    # floats print as %g, ints (seed, dim) in full
+    print(f"{args.name}: " + " ".join(
+        f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in echoed.items()
+    ))
+    for line in lines:
+        print(line)
+    for label, residual, tol in checks:
+        verdict = "PASS" if residual <= tol else "FAIL"
+        print(f"  {verdict}  {label} (residual {residual:.3e}, tol {tol:g})")
+    passed = all(residual <= tol for _, residual, tol in checks)
     if args.out:
-        payload = {"tool": "qtimeloop", "version": __version__, **payload}
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        record = {"tool": "qtimeloop", "version": __version__, "scenario": args.name,
+                  **echoed, **fields, "passed": passed}
+        _write_output(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK if passed else EXIT_CONFIG
 
 
@@ -232,12 +186,9 @@ def cmd_scan(args) -> int:
     result = phase_scan(params, args.phi_min, args.phi_max, args.points)
 
     lines = ["phi,transmitted,analytic,abs_error"]
-    xs, ys = [], []
     for phi, transmitted in result.points:
         analytic = grandfather_transmission(args.beta, phi)
         lines.append(f"{phi!r},{transmitted!r},{analytic!r},{abs(transmitted - analytic)!r}")
-        xs.append(phi)
-        ys.append(transmitted)
     numeric = result.fwhm_numeric
     lines.append(f"# fwhm_numeric = {'none' if numeric is None else repr(numeric)}")
     lines.append(f"# fwhm_predicted = {result.fwhm_predicted!r}")
@@ -246,6 +197,7 @@ def cmd_scan(args) -> int:
     _write_output("\n".join(lines) + "\n", args.out)
 
     if args.svg:
+        xs, ys = zip(*result.points)
         svg = polyline_plot(
             xs,
             ys,
@@ -253,8 +205,7 @@ def cmd_scan(args) -> int:
             y_label="transmitted probability",
             title=f"beta={args.beta:g} theta={args.theta:g}",
         )
-        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(svg)
+        _write_output(svg, args.svg)
     return EXIT_OK
 
 

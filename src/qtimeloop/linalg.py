@@ -77,23 +77,11 @@ def norm_sq(v) -> float:
     return float(np.vdot(arr, arr).real)
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with dimension checking."""
-    a = as_operator(a)
-    b = as_operator(b, a.shape[0])
-    return a @ b
-
-
-def mat_vec(a, v) -> np.ndarray:
-    """Matrix-vector product with dimension checking."""
-    a = as_operator(a)
-    v = as_state(v, a.shape[0])
-    return a @ v
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(a).conj().T
+def _max_relative_difference(reference, other) -> float:
+    """max|reference - other| / max|reference|; the absolute gap when reference is zero."""
+    diff = float(np.max(np.abs(reference - other)))
+    scale = float(np.max(np.abs(reference)))
+    return diff / scale if scale > 0.0 else diff
 
 
 def invert(a) -> tuple[np.ndarray, float]:
@@ -134,26 +122,14 @@ def is_unitary(a, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(gram - np.eye(a.shape[0]))) <= tol)
 
 
-def spectral_radius(a, iterations: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest eigenvalue magnitude.
+def spectral_radius(a) -> float:
+    """Loop radius max|eig(A)|, exact: taken from all eigenvalues of A.
 
-    Deterministic for a fixed seed. Returns the best estimate after the
-    iteration budget, or 0.0 when the iterate collapses to zero (nilpotent
-    maps do this within d steps).
+    This is what decides whether summing loop traversals converges (radius
+    below one). A power iteration only approaches it, slowly when the top
+    eigenvalues are close in modulus or A is not diagonalizable.
     """
-    a = as_operator(a)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max(1, iterations)):
-        w = a @ v
-        scale = float(np.linalg.norm(w))
-        if scale == 0.0:
-            return 0.0
-        estimate = scale
-        v = w / scale
-    return estimate
+    return float(np.abs(np.linalg.eigvals(as_operator(a))).max())
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -199,12 +175,6 @@ class SplitterParams:
     def from_beta(cls, beta: float) -> "SplitterParams":
         beta = float(beta)
         return cls(alpha=math.sqrt(max(0.0, 1.0 - beta * beta)), beta=beta)
-
-
-def coupler_matrix(params: SplitterParams) -> np.ndarray:
-    """The 2x2 unitary [[alpha, -i beta], [-i beta, alpha]] mixing a channel pair."""
-    a, b = params.alpha, params.beta
-    return np.array([[a, -1j * b], [-1j * b, a]], dtype=complex)
 
 
 def couple(params: SplitterParams, x, y) -> tuple[np.ndarray, np.ndarray]:

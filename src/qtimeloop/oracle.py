@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_state, couple
+from .linalg import as_state, couple, spectral_radius
 from .network import FeedbackNetwork, NetworkSolution, _assemble_solution
 
 DEFAULT_TOL = 1e-12
@@ -110,7 +110,7 @@ def solve_by_iteration(
         raise ValueError("max_iter must be at least 1")
     t, s = loop_map(net)
     drive = s @ psi
-    radius = float(np.abs(np.linalg.eigvals(t)).max())
+    radius = spectral_radius(t)
     # an undriven loop (alpha=1 or g2=-g1 at a balanced coupler) converges
     # in one step no matter what T looks like
     if radius >= 1.0 and np.any(drive != 0.0):

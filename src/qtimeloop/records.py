@@ -25,14 +25,6 @@ def json_to_vector(items) -> np.ndarray:
     return np.array([complex(item["re"], item["im"]) for item in items])
 
 
-def matrix_to_json(a) -> list[list[dict]]:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(a, dtype=complex)]
-
-
-def json_to_matrix(rows) -> np.ndarray:
-    return np.array([[complex(c["re"], c["im"]) for c in row] for row in rows])
-
-
 def solution_to_json(sol: NetworkSolution) -> dict:
     return {
         "psi_in": vector_to_json(sol.psi_in),

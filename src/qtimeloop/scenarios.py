@@ -17,13 +17,14 @@ import numpy as np
 
 from .linalg import (
     SplitterParams,
+    _max_relative_difference,
     as_operator,
     as_state,
     invert,
     norm_sq,
     random_unitary,
 )
-from .network import FeedbackNetwork, solve_closed_form, transmitted_probability
+from .network import FeedbackNetwork, NetworkSolution, solve_closed_form, transmitted_probability
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,11 @@ def grandfather_amplitude_ratios(p: GrandfatherParams) -> tuple[float, float, fl
     At phi = 0 these come out as (0, 1/beta, alpha/beta): the loop runs a
     current much larger than the input while both coupler balances hold.
     """
-    net = build_grandfather(p)
-    psi = np.ones(1, dtype=complex)
-    sol = solve_closed_form(net, psi)
-    scale = math.sqrt(norm_sq(psi))
+    return _amplitude_ratios(solve_closed_form(build_grandfather(p), np.ones(1, dtype=complex)))
+
+
+def _amplitude_ratios(sol: NetworkSolution) -> tuple[float, float, float]:
+    scale = math.sqrt(norm_sq(sol.psi_in))
     return (
         math.sqrt(norm_sq(sol.psi1)) / scale,
         math.sqrt(norm_sq(sol.psi2)) / scale,
@@ -170,10 +172,7 @@ def perturbative_check(g1, g2, m, psi, gamma: float = 1e-4):
     d_full = (output(gamma) - base) / gamma
     d_half = (output(gamma / 2.0) - base) / (gamma / 2.0)
     numeric = 2.0 * d_half - d_full
-    diff = float(np.max(np.abs(numeric - analytic)))
-    scale = float(np.max(np.abs(analytic)))
-    relative_error = diff / scale if scale > 0.0 else diff
-    return numeric, analytic, relative_error
+    return numeric, analytic, _max_relative_difference(analytic, numeric)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ from qtimeloop.linalg import is_unitary
 from qtimeloop.network import solve_closed_form
 from qtimeloop.records import (
     build_run_record,
-    json_to_matrix,
     json_to_vector,
-    matrix_to_json,
     record_to_csv,
     vector_to_json,
 )
@@ -133,8 +131,6 @@ def test_complex_round_trip_is_exact():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     np.testing.assert_array_equal(json_to_vector(vector_to_json(v)), v)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(json_to_matrix(matrix_to_json(a)), a)
 
 
 def test_run_record_survives_json_round_trip():

@@ -2,7 +2,9 @@
 
 The files under ``golden/`` were written by the CLI before the d=1 fast
 paths in ``linalg.invert`` and ``oracle.solve_by_iteration`` existed; a
-change that keeps the arithmetic must reproduce them exactly.
+change that keeps the arithmetic must reproduce them exactly. The
+``*.stdout`` files and the phi=0.3 grandfather record were written by the
+CLI that still had one hand-written handler per scenario.
 """
 
 from pathlib import Path
@@ -13,26 +15,37 @@ from qtimeloop.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (argv, {output flag: golden file written through that flag})
+# name -> (argv, {output flag: golden file written through that flag}, stdout golden)
 CASES = {
     "solve-oracle-grandfather": (
         ["solve", str(GOLDEN / "grandfather_beta0.1.json"), "--oracle", "--no-timestamp"],
         {"--out": "solve_oracle_grandfather.json"},
+        None,
     ),
     "solve-csv-random-d4": (
         ["solve", str(GOLDEN / "random_unitary_d4.json"), "--format", "csv", "--no-timestamp"],
         {"--out": "solve_random_d4.csv"},
+        None,
     ),
     "scan": (
         ["scan", "--beta", "0.1", "--theta", "0.4", "--points", "201"],
         {"--out": "scan_beta0.1.csv", "--svg": "scan_beta0.1.svg"},
+        None,
     ),
     **{
-        f"scenario-{name}": (["scenario", name], {"--out": f"scenario_{name}.json"})
+        f"scenario-{name}": (
+            ["scenario", name], {"--out": f"scenario_{name}.json"}, f"scenario_{name}.stdout"
+        )
         for name in (
             "grandfather", "no-feedback", "full-feedback", "equal-paths", "undo", "perturbative"
         )
     },
+    # off resonance: the transmission check only, no amplitude-ratio checks
+    "scenario-grandfather-phi0.3": (
+        ["scenario", "grandfather", "--phi", "0.3"],
+        {"--out": "scenario_grandfather_phi0.3.json"},
+        "scenario_grandfather_phi0.3.stdout",
+    ),
 }
 
 
@@ -47,6 +60,13 @@ def run_case(argv, outputs, workdir: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path, capsys):
-    argv, outputs = CASES[case]
+    argv, outputs, _ = CASES[case]
     for name, data in run_case(argv, outputs, tmp_path).items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from its golden copy"
+
+
+@pytest.mark.parametrize("case", sorted(case for case, spec in CASES.items() if spec[2]))
+def test_cli_stdout_matches_golden(case, tmp_path, capsys):
+    argv, outputs, stdout = CASES[case]
+    run_case(argv, outputs, tmp_path)
+    assert capsys.readouterr().out.encode() == (GOLDEN / stdout).read_bytes()

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zgetri
 
 from qtimeloop.linalg import (
     DIM_CAP,
     SingularMatrixError,
     SplitterParams,
-    adjoint,
     as_operator,
     as_state,
     couple,
-    coupler_matrix,
     invert,
     is_unitary,
-    mat_mul,
-    mat_vec,
     norm_sq,
     random_unitary,
     spectral_radius,
@@ -35,59 +32,11 @@ def random_complex_vector(rng, n):
 
 # ---------------------------------------------------------------- products
 
-def test_mat_mul_identity():
-    rng = np.random.default_rng(1)
-    a = random_complex_matrix(rng, 3)
-    np.testing.assert_array_equal(mat_mul(np.eye(3), a), a)
-
-
 def test_mat_mul_inverse_gives_identity():
     rng = np.random.default_rng(2)
     a = random_complex_matrix(rng, 4) + 4.0 * np.eye(4)
     inv, _ = invert(a)
-    assert np.max(np.abs(mat_mul(a, inv) - np.eye(4))) < 1e-12
-
-
-def test_product_adjoint_identity_against_elementwise_oracle():
-    # (AB)^H must equal B^H A^H, checked entry by entry with explicit sums
-    rng = np.random.default_rng(3)
-    a = random_complex_matrix(rng, 4)
-    b = random_complex_matrix(rng, 4)
-    lhs = adjoint(mat_mul(a, b))
-    # (B^H A^H)[i, j] written out entry by entry: sum_k conj(B[k,i]) conj(A[j,k])
-    rhs = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            rhs[i, j] = sum(np.conj(b[k, i]) * np.conj(a[j, k]) for k in range(4))
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-    np.testing.assert_allclose(rhs, adjoint(b) @ adjoint(a), atol=1e-12)
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        mat_mul(np.eye(2), np.eye(3))
-
-
-def test_mat_vec_identity_and_scalar():
-    rng = np.random.default_rng(4)
-    v = random_complex_vector(rng, 5)
-    np.testing.assert_array_equal(mat_vec(np.eye(5), v), v)
-    g = 2.5 - 0.5j
-    np.testing.assert_allclose(mat_vec(g * np.eye(5), v), g * v, rtol=1e-15)
-
-
-def test_mat_vec_against_naive_summation_oracle():
-    rng = np.random.default_rng(5)
-    a = random_complex_matrix(rng, 5)
-    v = random_complex_vector(rng, 5)
-    got = mat_vec(a, v)
-    expected = np.array([sum(a[i, j] * v[j] for j in range(5)) for i in range(5)])
-    np.testing.assert_allclose(got, expected, atol=1e-14)
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        mat_vec(np.eye(3), np.ones(4))
+    assert np.max(np.abs(a @ inv - np.eye(4))) < 1e-12
 
 
 # ---------------------------------------------------------------- inversion
@@ -106,7 +55,7 @@ def test_invert_scalar_diagonal():
 def test_invert_unitary_equals_adjoint():
     u = random_unitary(4, seed=11)
     inv, cond = invert(u)
-    np.testing.assert_allclose(inv, adjoint(u), atol=1e-12)
+    np.testing.assert_allclose(inv, u.conj().T, atol=1e-12)
     assert cond < 1e3
 
 
@@ -126,12 +75,20 @@ def test_invert_zero_pivot_reports_infinite_condition():
 
 @pytest.mark.parametrize("dim", [1, 4, 16, 64])
 def test_invert_matches_scipy_lu_reference_bit_for_bit(dim):
-    a = random_complex_matrix(np.random.default_rng(100 + dim), dim)
-    lu, piv = lu_factor(a)
-    pivots = np.abs(np.diagonal(lu))
-    inv, cond = invert(a)
-    assert inv.tobytes() == lu_solve((lu, piv), np.eye(dim, dtype=complex)).tobytes()
-    assert cond == float(pivots.max()) / float(pivots.min())
+    # At d=1 lu_solve (zgetrs) rounds by the OpenBLAS thread count, so the
+    # reference there is zgetri on the same LU, over many inputs, not one
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(2000 if dim == 1 else 1):
+        a = random_complex_matrix(rng, dim)
+        lu, piv = lu_factor(a)
+        pivots = np.abs(np.diagonal(lu))
+        inv, cond = invert(a)
+        if dim == 1:
+            reference, _ = zgetri(lu, piv)
+        else:
+            reference = lu_solve((lu, piv), np.eye(dim, dtype=complex))
+        assert inv.tobytes() == reference.tobytes()
+        assert cond == float(pivots.max()) / float(pivots.min())
 
 
 def test_invert_residual_scales_with_condition():
@@ -151,8 +108,16 @@ def test_is_unitary_basic():
     assert not is_unitary(2.0 * np.eye(3), 1e-12)
 
 
+def coupler_matrix(params):
+    """The 2x2 map couple applies to a channel pair, read off the basis vectors."""
+    columns = (couple(params, [1.0], [0.0]), couple(params, [0.0], [1.0]))
+    return np.array([np.concatenate(column) for column in columns]).T
+
+
 def test_coupler_matrix_is_unitary():
-    assert is_unitary(coupler_matrix(SplitterParams(0.8, 0.6)), 1e-12)
+    u = coupler_matrix(SplitterParams(0.8, 0.6))
+    np.testing.assert_array_equal(u, [[0.8, -0.6j], [-0.6j, 0.8]])
+    assert is_unitary(u, 1e-12)
 
 
 def test_coupler_matrix_unitarity_over_alpha_sweep():
@@ -163,24 +128,29 @@ def test_coupler_matrix_unitarity_over_alpha_sweep():
 
 
 def test_spectral_radius_diagonal():
-    assert spectral_radius(np.diag([0.3, 0.7]), iterations=200, seed=0) == pytest.approx(0.7, abs=1e-6)
+    assert spectral_radius(np.diag([0.3, 0.7])) == pytest.approx(0.7, abs=1e-6)
 
 
 def test_spectral_radius_nilpotent():
-    assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]]), iterations=50, seed=1) <= 1e-3
+    assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) <= 1e-3
 
 
 def test_spectral_radius_scaled_unitary():
     for seed, scale in ((0, 0.25), (1, 0.99), (2, 1.7)):
         u = random_unitary(5, seed)
         phase = np.exp(0.3j)
-        est = spectral_radius(scale * phase * u, iterations=100, seed=seed)
+        est = spectral_radius(scale * phase * u)
         assert est == pytest.approx(scale, abs=1e-6)
+
+
+def test_spectral_radius_is_exact_on_a_jordan_block():
+    # a power iteration creeps toward 0.5 here at a rate of 1/n
+    assert spectral_radius(np.array([[0.5, 100.0], [0.0, 0.5]])) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_spectral_radius_deterministic():
     a = np.random.default_rng(9).standard_normal((4, 4))
-    assert spectral_radius(a, seed=3) == spectral_radius(a, seed=3)
+    assert spectral_radius(a) == spectral_radius(a)
 
 
 # ---------------------------------------------------------------- random unitaries
