@@ -44,7 +44,6 @@ from .oracle import IterationReport, NotConvergedError, loop_map, solve_by_itera
 from .scenarios import (
     GrandfatherParams,
     PhaseScanResult,
-    SpecialCaseResult,
     build_grandfather,
     build_undo,
     grandfather_amplitude_ratios,
@@ -52,7 +51,6 @@ from .scenarios import (
     perturbative_check,
     phase_scan,
     predicted_fwhm,
-    special_case_suite,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +65,6 @@ __all__ = [
     "PhaseScanResult",
     "SingularDenominatorError",
     "SingularMatrixError",
-    "SpecialCaseResult",
     "SplitterParams",
     "build_grandfather",
     "build_undo",
@@ -84,7 +81,6 @@ __all__ = [
     "random_unitary",
     "solve_by_iteration",
     "solve_closed_form",
-    "special_case_suite",
     "spectral_radius",
     "transmitted_probability",
     "verify_fixed_point",

@@ -6,6 +6,10 @@ iteration), ``scenario`` runs one of the named worked cases and reports
 PASS/FAIL per identity, ``scan`` sweeps the feedback phase and writes a
 CSV lineshape plus an optional SVG plot.
 
+This module only parses arguments, renders results and maps errors to exit
+codes: the worked cases, their identities and tolerances live in
+:mod:`qtimeloop.scenarios`, the scan's input rules in ``phase_scan``.
+
 Exit codes: 0 success, 1 config/usage error or violated identity,
 2 singular loop denominator, 3 iteration did not converge.
 """
@@ -19,25 +23,21 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .config import ConfigError, load_config, parse_config
-from .linalg import SingularMatrixError, SplitterParams, _max_relative_difference, random_unitary
-from .network import SingularDenominatorError, solve_closed_form, transmitted_probability
+from .config import load_config, parse_config
+from .linalg import SingularMatrixError, _max_relative_difference
+from .network import SingularDenominatorError, solve_closed_form
 from .oracle import NotConvergedError, solve_by_iteration
 from .records import build_run_record, record_to_csv
 from .scenarios import (
     SPECIAL_CASES,
     GrandfatherParams,
-    _amplitude_ratios,
-    _random_state,
-    build_grandfather,
-    build_undo,
+    grandfather_case,
     grandfather_transmission,
-    perturbative_check,
+    perturbative_case,
     phase_scan,
     special_case,
+    undo_case,
 )
 from .svgplot import polyline_plot
 
@@ -91,81 +91,30 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _run_special(args):
-    case = special_case(args.name, args.seed, dim=args.dim)
-    checks = [("psi3' matches the exact limit", case.residual, case.tolerance)]
-    return [], checks, {"residual": case.residual, "tolerance": case.tolerance}
-
-
-def _run_grandfather(args):
-    params = GrandfatherParams(beta=args.beta, theta=args.theta, phi=args.phi)
-    sol = solve_closed_form(build_grandfather(params), np.ones(1, dtype=complex))
-    ratios = _amplitude_ratios(sol)
-    transmitted = transmitted_probability(sol)
-    analytic = grandfather_transmission(args.beta, args.phi)
-    tol = 1e-10
-    checks = [("transmitted matches the lineshape formula", abs(transmitted - analytic), tol)]
-    if args.phi == 0.0:
-        alpha = math.sqrt(1.0 - args.beta * args.beta)
-        expected = (0.0, 1.0 / args.beta, alpha / args.beta)
-        labels = ("|psi1/psi| = 0", "|psi2/psi| = 1/beta", "|psi4/psi| = alpha/beta")
-        checks += [
-            (label, abs(got - want), tol)
-            for label, got, want in zip(labels, ratios, expected)
-        ]
-    lines = [
-        f"  ratios |psi1/psi|={ratios[0]:.6g} |psi2/psi|={ratios[1]:.6g} "
-        f"|psi4/psi|={ratios[2]:.6g}",
-        f"  transmitted={transmitted:.12g} analytic={analytic:.12g}",
-    ]
-    return lines, checks, {"ratios": list(ratios), "transmitted": transmitted, "analytic": analytic}
-
-
-def _run_undo(args):
-    g1 = random_unitary(args.dim, args.seed)
-    g2 = random_unitary(args.dim, args.seed + 1)
-    net = build_undo(g1, g2, SplitterParams.from_beta(args.beta))
-    psi = _random_state(args.seed + 2, args.dim)
-    sol = solve_closed_form(net, psi)
-    residual = float(np.max(np.abs(sol.psi3p - g1 @ psi)))
-    tol = 1e-11
-    checks = [("psi3' = g1 psi (backward trip cancels the loop)", residual, tol)]
-    return [], checks, {"residual": residual, "tolerance": tol}
-
-
-def _run_perturbative(args):
-    g1 = random_unitary(args.dim, args.seed)
-    g2 = random_unitary(args.dim, args.seed + 1)
-    m = random_unitary(args.dim, args.seed + 2)
-    psi = _random_state(args.seed + 3, args.dim)
-    _, _, relative_error = perturbative_check(g1, g2, m, psi, gamma=args.gamma)
-    tol = 1e-6
-    checks = [("finite-difference derivative matches the first-order formula", relative_error, tol)]
-    return [], checks, {"relative_error": relative_error, "tolerance": tol}
-
-
-# name -> (runner, arguments echoed into the header line and the --out record);
-# a runner returns (extra lines, [(label, residual, tol)] checks, result fields)
+# name -> (case, its arguments, which are echoed into the header line and the
+# --out record); a case returns ([(label, residual, tol)] checks, result fields)
 _SCENARIOS = {
-    **dict.fromkeys(SPECIAL_CASES, (_run_special, ("seed", "dim"))),
-    "grandfather": (_run_grandfather, ("beta", "theta", "phi")),
-    "undo": (_run_undo, ("seed", "dim", "beta")),
-    "perturbative": (_run_perturbative, ("seed", "dim", "gamma")),
+    **{name: (functools.partial(special_case, name), ("seed", "dim")) for name in SPECIAL_CASES},
+    "grandfather": (grandfather_case, ("beta", "theta", "phi")),
+    "undo": (undo_case, ("seed", "dim", "beta")),
+    "perturbative": (perturbative_case, ("seed", "dim", "gamma")),
 }
 
 
 def cmd_scenario(args) -> int:
     """Run one named case and print a PASS/FAIL line per identity it checks."""
-    runner, echo = _SCENARIOS[args.name]
-    lines, checks, fields = runner(args)
+    case, echo = _SCENARIOS[args.name]
     echoed = {key: getattr(args, key) for key in echo}
+    checks, fields = case(**echoed)
     # floats print as %g, ints (seed, dim) in full
     print(f"{args.name}: " + " ".join(
         f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
         for key, value in echoed.items()
     ))
-    for line in lines:
-        print(line)
+    if args.name == "grandfather":
+        r1, r2, r4 = fields["ratios"]
+        print(f"  ratios |psi1/psi|={r1:.6g} |psi2/psi|={r2:.6g} |psi4/psi|={r4:.6g}")
+        print(f"  transmitted={fields['transmitted']:.12g} analytic={fields['analytic']:.12g}")
     for label, residual, tol in checks:
         verdict = "PASS" if residual <= tol else "FAIL"
         print(f"  {verdict}  {label} (residual {residual:.3e}, tol {tol:g})")
@@ -178,10 +127,6 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.points < 3:
-        raise ConfigError("--points must be at least 3")
-    if not args.phi_min < args.phi_max:
-        raise ConfigError("invalid range: need --phi-min < --phi-max")
     params = GrandfatherParams(beta=args.beta, theta=args.theta)
     result = phase_scan(params, args.phi_min, args.phi_max, args.points)
 

@@ -12,17 +12,9 @@ import numpy as np
 from .network import NetworkSolution, transmitted_probability
 
 
-def complex_to_json(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def vector_to_json(v) -> list[dict]:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
-
-
-def json_to_vector(items) -> np.ndarray:
-    return np.array([complex(item["re"], item["im"]) for item in items])
+    # tolist() yields Python complex, so the parts render through float's repr
+    return [{"re": z.real, "im": z.imag} for z in np.asarray(v, dtype=complex).tolist()]
 
 
 def solution_to_json(sol: NetworkSolution) -> dict:

@@ -12,17 +12,11 @@ def _esc(text: str) -> str:
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def polyline_plot(
-    xs,
-    ys,
-    *,
-    x_label: str = "",
-    y_label: str = "",
-    title: str = "",
-    width: int = 800,
-    height: int = 600,
-) -> str:
-    """Render ys against xs as a single polyline in an SVG document.
+WIDTH, HEIGHT = 800, 600
+
+
+def polyline_plot(xs, ys, *, x_label: str, y_label: str, title: str) -> str:
+    """Render ys against xs as a single polyline in a WIDTH x HEIGHT SVG document.
 
     Coordinates are emitted at fixed precision so identical data produce
     identical bytes.
@@ -38,8 +32,8 @@ def polyline_plot(
     y_hi = max(max(ys), 1e-12) * 1.05
 
     left, right, top, bottom = 75.0, 25.0, 40.0, 60.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -49,19 +43,14 @@ def polyline_plot(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_esc(title)}</text>'
-        )
-    parts.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_esc(title)}</text>',
         f'<rect x="{left:.1f}" y="{top:.1f}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
-        f'fill="none" stroke="black"/>'
-    )
+        f'fill="none" stroke="black"/>',
+    ]
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(
@@ -81,17 +70,15 @@ def polyline_plot(
             f'<text x="{left - 10:.2f}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12">{tick:.3g}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_esc(x_label)}</text>'
-        )
-    if y_label:
-        mid = top + plot_h / 2
-        parts.append(
-            f'<text x="18" y="{mid:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 18 {mid:.1f})">{_esc(y_label)}</text>'
-        )
+    mid = top + plot_h / 2
+    parts.append(
+        f'<text x="{left + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{_esc(x_label)}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{mid:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 18 {mid:.1f})">{_esc(y_label)}</text>'
+    )
     points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'

@@ -8,7 +8,10 @@ import pytest
 
 from qtimeloop.cli import main
 from qtimeloop.linalg import random_unitary
-from qtimeloop.records import json_to_vector
+
+
+def json_to_vector(items):
+    return np.array([complex(item["re"], item["im"]) for item in items])
 
 
 def write_config(tmp_path, name="net.json", **overrides):
@@ -227,6 +230,11 @@ def test_scan_broad_coupler_flags_width_formula(tmp_path):
 
 def test_scan_degenerate_range_exits_1(capsys):
     assert main(["scan", "--beta", "0.5", "--phi-min", "0", "--phi-max", "0"]) == 1
+    assert "invalid range" in capsys.readouterr().err
+
+
+def test_scan_non_finite_range_exits_1(capsys):
+    assert main(["scan", "--beta", "0.5", "--phi-min", "nan"]) == 1
     assert "invalid range" in capsys.readouterr().err
 
 

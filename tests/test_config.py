@@ -7,12 +7,11 @@ import pytest
 from qtimeloop.config import ConfigError, load_config, parse_config
 from qtimeloop.linalg import is_unitary
 from qtimeloop.network import solve_closed_form
-from qtimeloop.records import (
-    build_run_record,
-    json_to_vector,
-    record_to_csv,
-    vector_to_json,
-)
+from qtimeloop.records import build_run_record, record_to_csv, vector_to_json
+
+
+def json_to_vector(items):
+    return np.array([complex(item["re"], item["im"]) for item in items])
 
 
 def base_config(**overrides):

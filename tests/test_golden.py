@@ -4,7 +4,9 @@ The files under ``golden/`` were written by the CLI before the d=1 fast
 paths in ``linalg.invert`` and ``oracle.solve_by_iteration`` existed; a
 change that keeps the arithmetic must reproduce them exactly. The
 ``*.stdout`` files and the phi=0.3 grandfather record were written by the
-CLI that still had one hand-written handler per scenario.
+CLI that still had one hand-written handler per scenario, and the
+gamma=0.01 perturbative pair (a violated identity, exit 1) by the CLI that
+still held the worked cases itself.
 """
 
 from pathlib import Path
@@ -15,26 +17,30 @@ from qtimeloop.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (argv, {output flag: golden file written through that flag}, stdout golden)
+# name -> (argv, {output flag: golden file written through that flag}, stdout golden,
+#          exit code)
 CASES = {
     "solve-oracle-grandfather": (
         ["solve", str(GOLDEN / "grandfather_beta0.1.json"), "--oracle", "--no-timestamp"],
         {"--out": "solve_oracle_grandfather.json"},
         None,
+        0,
     ),
     "solve-csv-random-d4": (
         ["solve", str(GOLDEN / "random_unitary_d4.json"), "--format", "csv", "--no-timestamp"],
         {"--out": "solve_random_d4.csv"},
         None,
+        0,
     ),
     "scan": (
         ["scan", "--beta", "0.1", "--theta", "0.4", "--points", "201"],
         {"--out": "scan_beta0.1.csv", "--svg": "scan_beta0.1.svg"},
         None,
+        0,
     ),
     **{
         f"scenario-{name}": (
-            ["scenario", name], {"--out": f"scenario_{name}.json"}, f"scenario_{name}.stdout"
+            ["scenario", name], {"--out": f"scenario_{name}.json"}, f"scenario_{name}.stdout", 0
         )
         for name in (
             "grandfather", "no-feedback", "full-feedback", "equal-paths", "undo", "perturbative"
@@ -45,28 +51,36 @@ CASES = {
         ["scenario", "grandfather", "--phi", "0.3"],
         {"--out": "scenario_grandfather_phi0.3.json"},
         "scenario_grandfather_phi0.3.stdout",
+        0,
+    ),
+    # too coarse a step for the 1e-6 bound: the FAIL line, exit 1 and "passed": false
+    "scenario-perturbative-gamma0.01": (
+        ["scenario", "perturbative", "--gamma", "0.01"],
+        {"--out": "scenario_perturbative_gamma0.01.json"},
+        "scenario_perturbative_gamma0.01.stdout",
+        1,
     ),
 }
 
 
-def run_case(argv, outputs, workdir: Path) -> dict[str, bytes]:
+def run_case(argv, outputs, code, workdir: Path) -> dict[str, bytes]:
     """Run one CLI case, returning {golden file name: bytes written}."""
     full = list(argv)
     for flag, name in outputs.items():
         full += [flag, str(workdir / name)]
-    assert main(full) == 0
+    assert main(full) == code
     return {name: (workdir / name).read_bytes() for name in outputs.values()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path, capsys):
-    argv, outputs, _ = CASES[case]
-    for name, data in run_case(argv, outputs, tmp_path).items():
+    argv, outputs, _, code = CASES[case]
+    for name, data in run_case(argv, outputs, code, tmp_path).items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from its golden copy"
 
 
 @pytest.mark.parametrize("case", sorted(case for case, spec in CASES.items() if spec[2]))
 def test_cli_stdout_matches_golden(case, tmp_path, capsys):
-    argv, outputs, stdout = CASES[case]
-    run_case(argv, outputs, tmp_path)
+    argv, outputs, stdout, code = CASES[case]
+    run_case(argv, outputs, code, tmp_path)
     assert capsys.readouterr().out.encode() == (GOLDEN / stdout).read_bytes()

@@ -6,15 +6,19 @@ import pytest
 from qtimeloop.linalg import SingularMatrixError, SplitterParams, norm_sq, random_unitary
 from qtimeloop.network import solve_closed_form, transmitted_probability
 from qtimeloop.scenarios import (
+    SPECIAL_CASES,
     GrandfatherParams,
     build_grandfather,
     build_undo,
     grandfather_amplitude_ratios,
+    grandfather_case,
     grandfather_transmission,
+    perturbative_case,
     perturbative_check,
     phase_scan,
     predicted_fwhm,
-    special_case_suite,
+    special_case,
+    undo_case,
 )
 
 
@@ -144,11 +148,30 @@ def test_undo_requires_invertible_channel():
 @pytest.mark.parametrize("seed", [0, 7, 123])
 @pytest.mark.parametrize("dim", [1, 2, 4, 8])
 def test_special_case_suite_passes(seed, dim):
-    results = special_case_suite(seed, dim=dim)
-    assert [r.name for r in results] == ["no-feedback", "full-feedback", "equal-paths"]
-    for r in results:
-        assert r.passed, f"{r.name} residual {r.residual}"
-        assert r.residual <= 1e-11
+    assert SPECIAL_CASES == ("no-feedback", "full-feedback", "equal-paths")
+    for name in SPECIAL_CASES:
+        [(_, residual, tol)], _ = special_case(name, seed, dim=dim)
+        assert residual <= tol, f"{name} residual {residual}"
+        assert residual <= 1e-11
+
+
+def test_grandfather_case_checks_the_ratios_only_on_resonance():
+    on_checks, fields = grandfather_case(0.1, 0.4, 0.0)
+    off_checks, _ = grandfather_case(0.1, 0.4, 0.3)
+    assert [label for label, _, _ in on_checks][1:] == [
+        "|psi1/psi| = 0", "|psi2/psi| = 1/beta", "|psi4/psi| = alpha/beta"
+    ]
+    assert len(off_checks) == 1
+    assert all(residual <= tol for _, residual, tol in on_checks + off_checks)
+    assert list(fields) == ["ratios", "transmitted", "analytic"]
+
+
+def test_a_violated_identity_is_reported_not_raised():
+    [(_, residual, tol)], fields = perturbative_case(0, 4, 0.01)
+    assert residual > tol == 1e-6
+    assert fields == {"relative_error": residual, "tolerance": tol}
+    [(_, residual, tol)], _ = undo_case(3, 4, 0.1)
+    assert residual <= tol == 1e-11
 
 
 # ---------------------------------------------------------------- perturbative
