@@ -6,8 +6,8 @@ cross-validates with an independent loop-unrolling iteration, and ships
 the worked special cases plus resonance lineshape tooling.
 
 Operands are at most 64 wide, where extra OpenBLAS threads only spin, so
-importing the package loads numpy's and scipy's BLAS on one thread, unless
-a thread variable is set or numpy was imported first.
+importing the package loads numpy's BLAS on one thread, unless a thread
+variable is set or numpy was imported first.
 """
 
 import os
@@ -15,7 +15,7 @@ import sys
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and os.environ.keys().isdisjoint(_THREAD_VARS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as .linalg loads the libraries
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as .linalg loads numpy
     try:
         from . import linalg
     finally:

@@ -99,12 +99,18 @@ _SCENARIOS = {
     "undo": (undo_case, ("seed", "dim", "beta")),
     "perturbative": (perturbative_case, ("seed", "dim", "gamma")),
 }
+# option -> (type, default); unset unless given, so a case can refuse what it does not echo
+_SCENARIO_OPTIONS = {"seed": (int, 0), "dim": (int, 4), "beta": (float, 0.1),
+                     "theta": (float, 0.0), "phi": (float, 0.0), "gamma": (float, 1e-4)}
 
 
 def cmd_scenario(args) -> int:
     """Run one named case and print a PASS/FAIL line per identity it checks."""
     case, echo = _SCENARIOS[args.name]
-    echoed = {key: getattr(args, key) for key in echo}
+    ignored = [f"--{key}" for key in _SCENARIO_OPTIONS if key not in echo and hasattr(args, key)]
+    if ignored:
+        raise ValueError(f"scenario {args.name} does not take {', '.join(ignored)}")
+    echoed = {key: getattr(args, key, _SCENARIO_OPTIONS[key][1]) for key in echo}
     checks, fields = case(**echoed)
     # floats print as %g, ints (seed, dim) in full
     print(f"{args.name}: " + " ".join(
@@ -177,13 +183,10 @@ def build_parser() -> _Parser:
 
     scenario = sub.add_parser("scenario", help="run a named worked case")
     scenario.add_argument("name", choices=tuple(_SCENARIOS))
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--dim", type=int, default=4)
-    scenario.add_argument("--beta", type=float, default=0.1)
-    scenario.add_argument("--theta", type=float, default=0.0)
-    scenario.add_argument("--phi", type=float, default=0.0)
-    scenario.add_argument("--gamma", type=float, default=1e-4,
-                          help="expansion parameter for the perturbative scenario")
+    for key, (kind, default) in _SCENARIO_OPTIONS.items():
+        users = ", ".join(name for name, (_, echo) in _SCENARIOS.items() if key in echo)
+        scenario.add_argument(f"--{key}", type=kind, default=argparse.SUPPRESS,
+                              help=f"default {default}; taken by {users}")
     scenario.add_argument("--out", help="also write a JSON summary here")
     scenario.set_defaults(func=cmd_scenario)
 

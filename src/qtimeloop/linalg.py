@@ -5,9 +5,8 @@ inputs are validated, never mutated, and every function returns fresh
 values. Dimensions are capped at ``DIM_CAP``; the interesting physics
 lives at very small d (the worked cases are scalar).
 
-:func:`invert` calls LAPACK ``zgetrf``/``zgetrs`` (``zgetri`` at d=1)
-directly: the routines ``scipy.linalg.lu_factor``/``lu_solve`` run for
-complex128, without the wrappers' per-call cost, which dominates at d=1.
+:func:`invert` needs numpy only. At d=1 it skips array routines, whose
+per-call cost dominates there, and takes 1/z in Python floats.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetri, zgetrs
 
 DIM_CAP = 64
 
-# pivots below this magnitude are treated as exact zeros
+# a 1 x 1 matrix below this magnitude is treated as an exact zero
 PIVOT_FLOOR = 1e-300
-# pivot-ratio condition estimates above this are rejected as singular
+# matrices whose 1-norm condition number exceeds this are rejected as singular
 CONDITION_CAP = 1e12
 
 
@@ -85,34 +83,33 @@ def _max_relative_difference(reference, other) -> float:
 
 
 def invert(a) -> tuple[np.ndarray, float]:
-    """Invert a square matrix by LU factorization with partial pivoting.
+    """Invert a square matrix; returns ``(inverse, condition)``.
 
-    Returns ``(inverse, condition)`` where ``condition`` is the cheap
-    pivot-ratio estimate max|u_ii| / min|u_ii| (adequate at the small
-    dimensions this package works at). Raises :class:`SingularMatrixError`
-    when a pivot underflows or the estimate exceeds ``CONDITION_CAP``.
-
-    d=1 uses ``zgetri``: there ``zgetrs`` against the identity rounds by the
-    OpenBLAS thread count, ``zgetri`` (and ``zgetrs`` at d >= 2) does not.
+    ``condition`` is the exact 1-norm condition number ||A||_1 ||A^-1||_1.
+    Raises :class:`SingularMatrixError` on a zero pivot (at d=1: below
+    ``PIVOT_FLOOR``), condition ``inf``, or a condition above ``CONDITION_CAP``.
+    d=1 rounds 1/z as LAPACK ``zgetri`` does. d >= 2 is returned in Fortran
+    order, so ``inverse @ v`` takes the gemv kernel the golden files used.
     """
     a = as_operator(a)
-    lu, piv, info = zgetrf(a)
-    if info < 0:
-        raise ValueError(f"zgetrf rejected argument {-info}")
-    # info > 0 flags an exactly zero pivot, which the floor below catches
-    pivots = np.abs(lu.diagonal())
-    smallest = float(pivots.min())
-    if smallest < PIVOT_FLOOR:
-        raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf)
-    condition = float(pivots.max()) / smallest
-    if condition > CONDITION_CAP:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (pivot-ratio condition {condition:.3e})",
-            condition=condition,
-        )
-    n = a.shape[0]
-    inverse, _ = zgetri(lu, piv) if n == 1 else zgetrs(lu, piv, np.eye(n, dtype=complex))
-    return inverse, condition
+    if a.shape[0] == 1:
+        ar, ai = a.real.item(), a.imag.item()
+        if math.hypot(ar, ai) < PIVOT_FLOOR:
+            raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf)
+        swap = abs(ai) > abs(ar)  # divide by the larger part, as ztrti2 does
+        ratio = ar / ai if swap else ai / ar
+        den = 1.0 / ((ai if swap else ar) * (1.0 + ratio * ratio))
+        inverse = complex(ratio * den, -den) if swap else complex(den, -ratio * den)
+        return np.array([[inverse]]), 1.0
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf) from None
+    condition = float(np.abs(a).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
+    if not condition <= CONDITION_CAP:  # also true for a NaN condition
+        message = f"matrix is numerically singular (1-norm condition {condition:.3e})"
+        raise SingularMatrixError(message, condition=condition)
+    return np.asfortranarray(inverse), condition
 
 
 def is_unitary(a, tol: float = 1e-12) -> bool:

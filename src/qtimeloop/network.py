@@ -54,9 +54,9 @@ class NetworkSolution:
     """All seven internal/external amplitudes plus numerical diagnostics.
 
     Unprimed vectors live at the early coupler, primed ones at the late
-    coupler. ``denom_condition`` is the pivot-ratio estimate for the loop
-    denominator inverse (None when the solution came from the iterative
-    path, which never forms it). The conservation residuals are
+    coupler. ``denom_condition`` is the 1-norm condition number of the loop
+    denominator (None when the solution came from the iterative path,
+    which never forms it). The conservation residuals are
     |sum of squared norms in - out| at each coupler; they stay tiny even
     when the loop amplitudes dwarf the input.
     """

@@ -199,6 +199,20 @@ def test_scenario_unknown_name_exits_1(capsys):
     assert main(["scenario", "time-machine"]) == 1
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("no-feedback", ["--beta", "0.3", "--gamma", "0.001"]),
+    ("grandfather", ["--seed", "1"]),
+    ("undo", ["--phi", "0.1"]),
+    ("perturbative", ["--beta", "0.1"]),  # even at its default value
+])
+def test_scenario_rejects_options_the_case_does_not_take(name, argv, tmp_path, capsys):
+    out = tmp_path / "record.json"
+    assert main(["scenario", name, *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"scenario {name} does not take {argv[0]}" in captured.err
+
+
 def test_scenario_bad_beta_exits_1(capsys):
     assert main(["scenario", "grandfather", "--beta", "1.5"]) == 1
     assert "error" in capsys.readouterr().err

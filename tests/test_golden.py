@@ -6,7 +6,9 @@ change that keeps the arithmetic must reproduce them exactly. The
 ``*.stdout`` files and the phi=0.3 grandfather record were written by the
 CLI that still had one hand-written handler per scenario, and the
 gamma=0.01 perturbative pair (a violated identity, exit 1) by the CLI that
-still held the worked cases itself.
+still held the worked cases itself. One line was re-captured since: the
+``denominator_condition`` of ``solve_random_d4.csv``, a pivot ratio until
+``invert`` reported the 1-norm condition number.
 """
 
 from pathlib import Path

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgetri
 
 from qtimeloop.linalg import (
+    CONDITION_CAP,
     DIM_CAP,
+    PIVOT_FLOOR,
     SingularMatrixError,
     SplitterParams,
     as_operator,
@@ -73,22 +74,63 @@ def test_invert_zero_pivot_reports_infinite_condition():
         assert exc.value.condition == math.inf
 
 
+# d=1 edge grid: signed zeros, pure real and imaginary values, |re| = |im|
+# ties, scales 1e+-150 and parts near the largest double
+EDGE_PARTS = [sign * size for size in (0.0, 1e-150, 0.5, 1.0, 3.0, 1e150, 1e308, 1.7e308)
+              for sign in (1.0, -1.0)]
+
+
 @pytest.mark.parametrize("dim", [1, 4, 16, 64])
 def test_invert_matches_scipy_lu_reference_bit_for_bit(dim):
     # At d=1 lu_solve (zgetrs) rounds by the OpenBLAS thread count, so the
     # reference there is zgetri on the same LU, over many inputs, not one
+    sla = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(100 + dim)
-    for _ in range(2000 if dim == 1 else 1):
-        a = random_complex_matrix(rng, dim)
-        lu, piv = lu_factor(a)
-        pivots = np.abs(np.diagonal(lu))
+    inputs = [random_complex_matrix(rng, dim) for _ in range(2000 if dim == 1 else 1)]
+    if dim == 1:
+        # the two parts on independent scales, 1e-150 to 1e150
+        parts = rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (2000, 2))
+        pairs = [*parts, *itertools.product(EDGE_PARTS, repeat=2)]
+        inputs += [np.array([[complex(re, im)]]) for re, im in pairs]
+    for a in inputs:
+        if math.hypot(a.real.item(0), a.imag.item(0)) < PIVOT_FLOOR:
+            with pytest.raises(SingularMatrixError):
+                invert(a)
+            continue
+        lu, piv = sla.lu_factor(a)
         inv, cond = invert(a)
         if dim == 1:
-            reference, _ = zgetri(lu, piv)
+            reference, _ = sla.lapack.zgetri(lu, piv)
         else:
-            reference = lu_solve((lu, piv), np.eye(dim, dtype=complex))
+            reference = sla.lu_solve((lu, piv), np.eye(dim, dtype=complex))
         assert inv.tobytes() == reference.tobytes()
-        assert cond == float(pivots.max()) / float(pivots.min())
+        assert cond == (1.0 if dim == 1 else np.linalg.cond(a, 1))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64])
+def test_invert_condition_is_the_1_norm_condition_number(dim):
+    rng = np.random.default_rng(300 + dim)
+    for _ in range(5):
+        a = random_complex_matrix(rng, dim)
+        assert invert(a)[1] == np.linalg.cond(a, 1)
+
+
+def test_invert_condition_sees_an_ill_conditioned_triangle():
+    # unit upper triangle with -1 above the diagonal: every pivot is 1, but
+    # kappa_1 = d 2^(d-1), so a pivot ratio reads 1 where kappa_1 is huge
+    def triangle(d):
+        return np.eye(d) - np.triu(np.ones((d, d)), 1)
+
+    assert invert(triangle(20))[1] == 20 * 2.0**19 == 1.048576e7
+    with pytest.raises(SingularMatrixError) as exc:
+        invert(triangle(40))
+    assert exc.value.condition == 40 * 2.0**39 > CONDITION_CAP
+
+
+def test_invert_accepts_a_tiny_well_conditioned_matrix():
+    inv, cond = invert(1e-301 * np.eye(2))
+    np.testing.assert_allclose(inv, 1e301 * np.eye(2), rtol=1e-15)
+    assert cond == pytest.approx(1.0, rel=1e-15)
 
 
 def test_invert_residual_scales_with_condition():

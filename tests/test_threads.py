@@ -1,4 +1,5 @@
-"""Output bytes do not depend on how many threads OpenBLAS runs.
+"""Output bytes do not depend on how many threads OpenBLAS runs, and the
+package loads no BLAS but numpy's.
 
 OpenBLAS fixes its thread count when the library loads, so every check here
 runs in a fresh interpreter with its own thread variables.
@@ -68,7 +69,7 @@ def blas_report(imports: str, **thread_env) -> dict:
         pytest.skip("no /proc/self/maps to find the loaded OpenBLAS libraries")
     report = json.loads(run_python(["-c", BLAS_THREADS.format(imports=imports)], **thread_env))
     if not report["threads"]:
-        pytest.skip("numpy and scipy load no OpenBLAS here")
+        pytest.skip("numpy loads no OpenBLAS here")
     return report
 
 
@@ -101,6 +102,11 @@ def test_import_runs_openblas_on_one_thread_and_restores_the_environment():
     ids=["OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2", "numpy-imported-first"],
 )
 def test_thread_setting_is_left_alone(imports, thread_env):
-    # importing qtimeloop keeps the thread counts numpy and scipy pick on their own
-    plain = blas_report("import numpy, scipy.linalg.lapack", **thread_env)
+    # importing qtimeloop keeps the thread count numpy picks on its own
+    plain = blas_report("import numpy", **thread_env)
     assert blas_report(imports, **thread_env) == plain
+
+
+def test_the_cli_does_not_import_scipy():
+    check = "import sys, qtimeloop.cli; print('scipy' in sys.modules)"
+    assert run_python(["-c", check]) == b"False\n"
