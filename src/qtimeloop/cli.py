@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -28,7 +27,7 @@ from .config import load_config, parse_config
 from .linalg import SingularMatrixError, _max_relative_difference
 from .network import SingularDenominatorError, solve_closed_form
 from .oracle import NotConvergedError, solve_by_iteration
-from .records import build_run_record, record_to_csv
+from .records import build_run_record, record_to_csv, record_to_json
 from .scenarios import (
     SPECIAL_CASES,
     GrandfatherParams,
@@ -84,7 +83,7 @@ def cmd_solve(args) -> int:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     record = build_run_record(cfg, solution, version=__version__, timestamp=timestamp, oracle=oracle)
     if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
+        text = record_to_json(record)
     else:
         text = record_to_csv(record)
     _write_output(text, args.out)
@@ -128,7 +127,7 @@ def cmd_scenario(args) -> int:
     if args.out:
         record = {"tool": "qtimeloop", "version": __version__, "scenario": args.name,
                   **echoed, **fields, "passed": passed}
-        _write_output(json.dumps(record, indent=2) + "\n", args.out)
+        _write_output(record_to_json(record), args.out)
     return EXIT_OK if passed else EXIT_CONFIG
 
 

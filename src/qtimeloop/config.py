@@ -5,6 +5,11 @@ one of the coupler amplitudes, and the input state. Operators may be given
 as presets ("zero", "identity", "phase:<radians>", "random-unitary:<seed>")
 or as explicit matrices with {re, im} entries, so every worked case is
 expressible without writing matrices by hand.
+
+A literal becomes one array built from a nested comprehension, one
+``_parse_entry`` call per cell; the cell's location (``g1[0][1]``) is
+formatted only for an error. Every entry must be finite: json.load accepts
+``NaN`` and ``Infinity``, and integers of any size.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ class ConfigError(ValueError):
 
 
 _ALLOWED_KEYS = {"dim", "g1", "g2", "m", "alpha", "beta", "input_state"}
+_PARTS = {"re", "im"}
 
 
 def load_config(path) -> dict:
@@ -33,6 +39,8 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -70,27 +78,54 @@ def _parse_splitter(raw: dict) -> SplitterParams:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+    # false for NaN; an integer compares exactly, however large
+    if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{key} must lie in [0, 1]")
+    value = float(value)
     return SplitterParams.from_alpha(value) if has_alpha else SplitterParams.from_beta(value)
 
 
-def _parse_entry(obj, where: str) -> complex:
-    if isinstance(obj, bool):
-        raise ConfigError(f"{where}: booleans are not numbers")
-    if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
+def _parse_entry(obj, name: str, *index: int) -> complex:
+    """One literal entry; its location ``name[i][j]`` is spelled out only in an error.
+
+    An {re, im} object, the common form, is tested first; it cannot also be
+    a number.
+    """
     if isinstance(obj, dict):
-        extra = set(obj) - {"re", "im"}
-        if extra:
-            raise ConfigError(f"{where}: unexpected entry keys {sorted(extra)}")
+        if not obj.keys() <= _PARTS:
+            extra = set(obj) - _PARTS
+            raise ConfigError(f"{_where(name, index)}: unexpected entry keys {sorted(extra)}")
         re = obj.get("re", 0.0)
         im = obj.get("im", 0.0)
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
-            raise ConfigError(f"{where}: re/im must be numbers")
+        if (
+            isinstance(re, bool) or isinstance(im, bool)
+            or not isinstance(re, (int, float)) or not isinstance(im, (int, float))
+        ):
+            raise ConfigError(f"{_where(name, index)}: re/im must be numbers")
+    elif isinstance(obj, bool):
+        raise ConfigError(f"{_where(name, index)}: booleans are not numbers")
+    elif isinstance(obj, (int, float)):
+        re, im = obj, 0.0
+    else:
+        raise ConfigError(f"{_where(name, index)}: expected a number or an {{re, im}} object")
+    try:
         return complex(float(re), float(im))
-    raise ConfigError(f"{where}: expected a number or an {{re, im}} object")
+    except OverflowError:  # an integer beyond the largest double
+        raise ConfigError(f"{_where(name, index)}: entries must be finite") from None
+
+
+def _where(name: str, index) -> str:
+    return name + "".join(f"[{k}]" for k in index)
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    """Pass a parsed literal through, or name its first NaN/Infinity entry
+    (json.load accepts both tokens)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = np.argwhere(~finite)[0].tolist()
+        raise ConfigError(f"{_where(name, first)}: entries must be finite")
+    return values
 
 
 def _parse_operator(spec, dim: int, name: str) -> np.ndarray:
@@ -99,11 +134,10 @@ def _parse_operator(spec, dim: int, name: str) -> np.ndarray:
     if isinstance(spec, list):
         if len(spec) != dim or any(not isinstance(row, list) or len(row) != dim for row in spec):
             raise ConfigError(f"{name}: matrix literal must be {dim}x{dim}")
-        out = np.empty((dim, dim), dtype=complex)
-        for i, row in enumerate(spec):
-            for j, cell in enumerate(row):
-                out[i, j] = _parse_entry(cell, f"{name}[{i}][{j}]")
-        return out
+        return _finite(np.array([
+            [_parse_entry(cell, name, i, j) for j, cell in enumerate(row)]
+            for i, row in enumerate(spec)
+        ], dtype=complex), name)
     raise ConfigError(f"{name}: expected a preset string or a matrix literal")
 
 
@@ -145,5 +179,7 @@ def _parse_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, list):
         if len(spec) != dim:
             raise ConfigError(f"input_state: vector literal must have length {dim}")
-        return np.array([_parse_entry(cell, f"input_state[{i}]") for i, cell in enumerate(spec)])
+        return _finite(np.array(
+            [_parse_entry(cell, "input_state", i) for i, cell in enumerate(spec)], dtype=complex
+        ), "input_state")
     raise ConfigError("input_state: expected 'basis:<i>' or a vector literal")

@@ -2,10 +2,14 @@
 
 Complex numbers serialize as {"re": ..., "im": ...}; floats go through
 Python's shortest round-trip repr, so a record survives a JSON round trip
-bit for bit.
+bit for bit. ``record_to_json`` writes the bytes of
+``json.dumps(record, indent=2)`` plus a newline, without the pure-Python
+encoder that ``indent`` selects: one string per container, joined once.
 """
 
 from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -77,3 +81,57 @@ def record_to_csv(record: dict) -> str:
         lines.append(f"oracle_iterations,,{oracle['iterations']},")
         lines.append(f"oracle_relative_difference,,{oracle['relative_difference']!r},")
     return "\n".join(lines) + "\n"
+
+
+def record_to_json(record) -> str:
+    """``json.dumps(record, indent=2) + "\\n"``, byte for byte.
+
+    Dict keys must be str, as in every record; any other key, like any value
+    json cannot encode, raises TypeError.
+    """
+    return _to_json(record, "\n") + "\n"
+
+
+# float repr -> the JSON token json.dumps writes for it
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_INF = float("inf")
+
+
+def _to_json(value, newline: str) -> str:
+    """Render one value whose closing bracket, if any, follows ``newline``.
+
+    The kinds json tells apart are disjoint but for bool, an int, so the
+    tests run most frequent first, with True and False before int.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        if tuple(value) == ("re", "im"):
+            re, im = value.values()
+            # the bulk of a record: a finite complex entry
+            if type(re) is float and type(im) is float and -_INF < re < _INF and -_INF < im < _INF:
+                re, im = float.__repr__(re), float.__repr__(im)
+                return f'{{{inner}"re": {re},{inner}"im": {im}{newline}}}'
+        items = [f"{_quote(key)}: {_to_json(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_to_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -87,6 +87,23 @@ def test_solve_missing_config_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_solve_non_utf8_config_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "g1": "caf\xe9"}')
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {path} is not valid UTF-8: ")
+
+
+def test_solve_non_finite_literal_exits_1_naming_the_entry(tmp_path, capsys):
+    # json.dumps writes the bare NaN token that json.load accepts
+    cfg = write_config(tmp_path, g2=[[{"re": 1.0, "im": math.nan}]])
+    assert "NaN" in cfg.read_text()
+    out = tmp_path / "record.json"
+    assert main(["solve", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: g2[0][0]: entries must be finite\n"
+    assert not out.exists()
+
+
 def test_solve_singular_denominator_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "singular.json"
     cfg_path.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,11 @@ def test_parse_rejects_bad_dim_and_amplitudes():
         parse_config(base_config(beta="0.5"))
 
 
+def test_parse_rejects_huge_integer_amplitude():
+    with pytest.raises(ConfigError, match=r"^beta must lie in \[0, 1\]$"):
+        parse_config(base_config(beta=10**400))
+
+
 def test_parse_rejects_zero_input():
     with pytest.raises(ConfigError, match="nonzero norm"):
         parse_config(base_config(input_state=[0.0, 0.0]))
@@ -122,6 +128,67 @@ def test_load_config_errors(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(array)
+
+
+def test_load_config_rejects_non_utf8_bytes(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"dim": 1, "g1": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"^config {re.escape(str(latin1))} is not valid UTF-8: "):
+        load_config(latin1)
+
+
+# entry -> the ConfigError text after its position
+MALFORMED_ENTRIES = {
+    "bool": (True, "booleans are not numbers"),
+    "extra-key": ({"re": 1.0, "phase": 0.5}, "unexpected entry keys ['phase']"),
+    "string-re": ({"re": "1.0"}, "re/im must be numbers"),
+    "list": ([1.0, 0.0], "expected a number or an {re, im} object"),
+    "none": (None, "expected a number or an {re, im} object"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_ENTRIES))
+@pytest.mark.parametrize("field", ["g2", "input_state"])
+def test_malformed_literal_entry_message_names_its_position(field, kind):
+    bad, message = MALFORMED_ENTRIES[kind]
+    # a later bad entry must not be the one reported
+    if field == "g2":
+        cfg, where = base_config(g2=[[1.0, 0.0], [bad, "later"]]), "g2[1][0]"
+    else:
+        cfg, where = base_config(dim=3, input_state=[1.0, bad, "later"]), "input_state[1]"
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"g1": [[1.0, {"im": math.nan}], [math.inf, 0.0]]}, "g1[0][1]"),
+        ({"m": [[0.0, 0.0], [{"re": -math.inf, "im": 1.0}, 0.0]]}, "m[1][0]"),
+        ({"dim": 3, "input_state": [1, 0.0, {"re": -math.inf}]}, "input_state[2]"),
+        ({"input_state": [math.nan, 1.0]}, "input_state[0]"),
+        # json.load reads an integer of any size; beyond the largest double it is not finite
+        ({"g2": [[1.0, 0.0], [0.0, {"re": -(10**400)}]]}, "g2[1][1]"),
+        ({"input_state": [10**400, 1.0]}, "input_state[0]"),
+    ],
+)
+def test_non_finite_literal_entry_is_a_config_error(overrides, where):
+    with pytest.raises(ConfigError) as info:
+        parse_config(base_config(**overrides))
+    assert str(info.value) == f"{where}: entries must be finite"
+
+
+def test_literal_entries_keep_their_numeric_types():
+    cfg = base_config(
+        g1=[[np.float64(0.5), {"re": 1, "im": np.float64(-0.0)}], [-0.0, {"im": 2}]],
+        input_state=[3, {"im": 1e-300}],
+    )
+    net, psi = parse_config(cfg)
+    np.testing.assert_array_equal(net.g1, np.array([[0.5, 1.0], [0.0, 2j]]))
+    assert math.copysign(1.0, net.g1[0, 1].imag) == -1.0
+    assert math.copysign(1.0, net.g1[1, 0].real) == -1.0
+    np.testing.assert_array_equal(psi, np.array([3.0, 1e-300j]))
 
 
 # ---------------------------------------------------------------- records

@@ -8,7 +8,11 @@ CLI that still had one hand-written handler per scenario, and the
 gamma=0.01 perturbative pair (a violated identity, exit 1) by the CLI that
 still held the worked cases itself. One line was re-captured since: the
 ``denominator_condition`` of ``solve_random_d4.csv``, a pivot ratio until
-``invert`` reported the 1-norm condition number.
+``invert`` reported the 1-norm condition number. ``literal_d3.json``, the
+one config given as matrix and vector literals, and its record
+``solve_oracle_literal_d3.json`` (compared through ``--out`` and as stdout)
+were written by the CLI that still rendered records with
+``json.dumps(indent=2)`` and parsed literals one cell at a time.
 """
 
 from pathlib import Path
@@ -26,6 +30,21 @@ CASES = {
         ["solve", str(GOLDEN / "grandfather_beta0.1.json"), "--oracle", "--no-timestamp"],
         {"--out": "solve_oracle_grandfather.json"},
         None,
+        0,
+    ),
+    # every literal entry form in the config echo: {re, im}, {re}, {im}, ints,
+    # floats, -0.0 and 1e-300, with an int/float input vector
+    "solve-oracle-literal-d3": (
+        ["solve", str(GOLDEN / "literal_d3.json"), "--oracle", "--no-timestamp"],
+        {"--out": "solve_oracle_literal_d3.json"},
+        None,
+        0,
+    ),
+    # the same record written to stdout
+    "solve-oracle-literal-d3-stdout": (
+        ["solve", str(GOLDEN / "literal_d3.json"), "--oracle", "--no-timestamp"],
+        {},
+        "solve_oracle_literal_d3.json",
         0,
     ),
     "solve-csv-random-d4": (

@@ -1,0 +1,68 @@
+"""``record_to_json`` writes exactly what ``json.dumps(value, indent=2)`` does."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtimeloop.records import record_to_json
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    # the {re, im} entries the renderer writes from a template
+    | st.fixed_dictionaries({"re": st.floats(), "im": st.floats()}),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=json_values)
+def test_record_to_json_matches_json_dumps(value):
+    assert record_to_json(value) == reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], (), "", {"a": {}, "b": [], "c": [[], {}]},
+        -0.0, 5e-324, 1e16, 1e-300, math.nan, math.inf, -math.inf,
+        [{"re": math.nan, "im": -math.inf}, {"re": -0.0, "im": 5e-324}],
+        # not the template: an int part, the other key order, a third key
+        [{"re": 1, "im": 0.5}, {"im": 0.5, "re": 1.0}, {"re": 1.0, "im": 0.5, "x": None}],
+        2**63, -(2**63) - 1, 10**40, [True, 1, False, 0, 1.0],
+        "é 😀", "quote \" backslash \\ slash /", "\x00\x01\t\n\r\x1f\x7f",
+        {"é": "ü", "\n": 1, '"': 2},
+        (1, (2.5, "x")),
+        # numpy scalars: float64 is a float, int64 is not an int
+        [np.float64(0.1), np.float64("inf")],
+    ],
+    ids=repr,
+)
+def test_record_to_json_edge_cases(value):
+    assert record_to_json(value) == reference(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{1, 2}, 1j, np.int64(3), np.bool_(True), [b"bytes"]], ids=repr
+)
+def test_record_to_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        reference(value)
+    with pytest.raises(TypeError) as got:
+        record_to_json(value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("key", [1, 2.5, True, None, (1, 2)], ids=repr)
+def test_record_to_json_takes_only_str_keys(key):
+    with pytest.raises(TypeError):
+        record_to_json({"config": {key: 0}})
