@@ -21,67 +21,32 @@ if "numpy" not in sys.modules and os.environ.keys().isdisjoint(_THREAD_VARS):
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .linalg import (
-    DIM_CAP,
-    SingularMatrixError,
-    SplitterParams,
-    couple,
-    invert,
-    is_unitary,
-    norm_sq,
-    random_unitary,
-    spectral_radius,
-)
+from .linalg import SplitterParams, random_unitary
 from .network import (
     FeedbackNetwork,
-    NetworkSolution,
     SingularDenominatorError,
     solve_closed_form,
     transmitted_probability,
     verify_fixed_point,
 )
-from .oracle import IterationReport, NotConvergedError, loop_map, solve_by_iteration
-from .scenarios import (
-    GrandfatherParams,
-    PhaseScanResult,
-    build_grandfather,
-    build_undo,
-    grandfather_amplitude_ratios,
-    grandfather_transmission,
-    perturbative_check,
-    phase_scan,
-    predicted_fwhm,
-)
+from .oracle import NotConvergedError, solve_by_iteration
+from .scenarios import GrandfatherParams, grandfather_amplitude_ratios, phase_scan
 
 __version__ = "0.1.0"
 
+# the names the README's library quick tour uses, plus the two errors it names;
+# everything else is imported from its submodule, e.g. qtimeloop.linalg.invert
 __all__ = [
-    "DIM_CAP",
     "FeedbackNetwork",
     "GrandfatherParams",
-    "IterationReport",
-    "NetworkSolution",
     "NotConvergedError",
-    "PhaseScanResult",
     "SingularDenominatorError",
-    "SingularMatrixError",
     "SplitterParams",
-    "build_grandfather",
-    "build_undo",
-    "couple",
     "grandfather_amplitude_ratios",
-    "grandfather_transmission",
-    "invert",
-    "is_unitary",
-    "loop_map",
-    "norm_sq",
-    "perturbative_check",
     "phase_scan",
-    "predicted_fwhm",
     "random_unitary",
     "solve_by_iteration",
     "solve_closed_form",
-    "spectral_radius",
     "transmitted_probability",
     "verify_fixed_point",
 ]

@@ -26,7 +26,7 @@ from . import __version__
 from .config import load_config, parse_config
 from .linalg import SingularMatrixError, _max_relative_difference
 from .network import SingularDenominatorError, solve_closed_form
-from .oracle import NotConvergedError, solve_by_iteration
+from .oracle import DEFAULT_MAX_ITER, DEFAULT_TOL, NotConvergedError, solve_by_iteration
 from .records import build_run_record, record_to_csv, record_to_json
 from .scenarios import (
     SPECIAL_CASES,
@@ -172,8 +172,9 @@ def build_parser() -> _Parser:
     solve.add_argument("config", help="path to the JSON network description")
     solve.add_argument("--oracle", action="store_true",
                        help="cross-check against the loop-unrolling solver")
-    solve.add_argument("--tol", type=float, default=1e-12, help="oracle update tolerance")
-    solve.add_argument("--max-iter", type=int, default=1_000_000, help="oracle iteration budget")
+    solve.add_argument("--tol", type=float, default=DEFAULT_TOL, help="oracle update tolerance")
+    solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                       help="oracle iteration budget")
     solve.add_argument("--out", help="write the record here instead of stdout")
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--no-timestamp", action="store_true",
@@ -208,19 +209,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SingularDenominatorError as exc:
+    # ConfigError is a ValueError, SingularDenominatorError a SingularMatrixError
+    except (NotConvergedError, SingularMatrixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except NotConvergedError as exc:
-        radius = exc.report.loop_spectral_radius_estimate
-        print(
-            f"error: {exc} [loop spectral radius {radius:.4g}, 1 - radius {1 - radius:.3g}]",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_CONVERGED
-    except (SingularMatrixError, ValueError, OSError) as exc:  # ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, NotConvergedError):
+            return EXIT_NOT_CONVERGED
+        return EXIT_SINGULAR if isinstance(exc, SingularDenominatorError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

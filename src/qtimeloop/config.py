@@ -147,29 +147,31 @@ def _operator_preset(spec: str, dim: int, name: str) -> np.ndarray:
     if spec == "identity":
         return np.eye(dim, dtype=complex)
     if spec.startswith("phase:"):
-        try:
-            angle = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"{name}: bad phase preset {spec!r}") from exc
+        angle = _preset_number(spec, float, name)
         if not math.isfinite(angle):
             raise ConfigError(f"{name}: phase angle must be finite")
         return cmath.exp(1j * angle) * np.eye(dim, dtype=complex)
     if spec.startswith("random-unitary:"):
-        try:
-            seed = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"{name}: bad random-unitary preset {spec!r}") from exc
+        seed = _preset_number(spec, int, name)
+        if seed < 0:
+            raise ConfigError(f"{name}: random-unitary seed must be non-negative, got {spec!r}")
         return random_unitary(dim, seed)
     raise ConfigError(f"{name}: unknown preset {spec!r}")
+
+
+def _preset_number(spec: str, kind, name: str):
+    """The number after the colon of a preset such as ``phase:1.3``, read by ``kind``."""
+    preset, _, text = spec.partition(":")
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: bad {preset} preset {spec!r}") from exc
 
 
 def _parse_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, str):
         if spec.startswith("basis:"):
-            try:
-                index = int(spec.split(":", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"input_state: bad basis preset {spec!r}") from exc
+            index = _preset_number(spec, int, "input_state")
             if not 0 <= index < dim:
                 raise ConfigError(f"input_state: basis index {index} out of range for dim {dim}")
             out = np.zeros(dim, dtype=complex)

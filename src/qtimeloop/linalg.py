@@ -37,14 +37,7 @@ def as_operator(a, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
-    if not 1 <= n <= DIM_CAP:
-        raise ValueError(f"operator dimension must be in [1, {DIM_CAP}], got {n}")
-    if dim is not None and n != dim:
-        raise ValueError(f"operator dimension mismatch: {n} != {dim}")
-    if not np.isfinite(arr).all():
-        raise ValueError("operator entries must be finite")
-    return arr
+    return _checked(arr, "operator", dim)
 
 
 def as_state(v, dim: int | None = None) -> np.ndarray:
@@ -52,13 +45,18 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise ValueError(f"state must be a 1-d vector, got shape {arr.shape}")
+    return _checked(arr, "state", dim)
+
+
+def _checked(arr: np.ndarray, kind: str, dim: int | None) -> np.ndarray:
+    """The size and entry checks operators and states share."""
     n = arr.shape[0]
     if not 1 <= n <= DIM_CAP:
-        raise ValueError(f"state dimension must be in [1, {DIM_CAP}], got {n}")
+        raise ValueError(f"{kind} dimension must be in [1, {DIM_CAP}], got {n}")
     if dim is not None and n != dim:
-        raise ValueError(f"state dimension mismatch: {n} != {dim}")
+        raise ValueError(f"{kind} dimension mismatch: {n} != {dim}")
     if not np.isfinite(arr).all():
-        raise ValueError("state entries must be finite")
+        raise ValueError(f"{kind} entries must be finite")
     return arr
 
 
@@ -75,10 +73,14 @@ def norm_sq(v) -> float:
     return float(np.vdot(arr, arr).real)
 
 
+def _max_abs(v) -> float:
+    """Max-norm max_i |v_i|."""
+    return float(np.max(np.abs(v)))
+
+
 def _max_relative_difference(reference, other) -> float:
     """max|reference - other| / max|reference|; the absolute gap when reference is zero."""
-    diff = float(np.max(np.abs(reference - other)))
-    scale = float(np.max(np.abs(reference)))
+    diff, scale = _max_abs(reference - other), _max_abs(reference)
     return diff / scale if scale > 0.0 else diff
 
 
@@ -110,13 +112,6 @@ def invert(a) -> tuple[np.ndarray, float]:
         message = f"matrix is numerically singular (1-norm condition {condition:.3e})"
         raise SingularMatrixError(message, condition=condition)
     return np.asfortranarray(inverse), condition
-
-
-def is_unitary(a, tol: float = 1e-12) -> bool:
-    """True iff ||A^H A - I||_max <= tol."""
-    a = as_operator(a)
-    gram = a.conj().T @ a
-    return bool(np.max(np.abs(gram - np.eye(a.shape[0]))) <= tol)
 
 
 def spectral_radius(a) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     SingularMatrixError,
     SplitterParams,
+    _max_abs,
     as_operator,
     as_state,
     couple,
@@ -122,10 +123,6 @@ def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
     psi2 = -1j * b * (d_op @ ((eye + mg1) @ psi))
     psi4 = a * (mg2 @ psi2) - 1j * b * (mg1 @ psi1)
     return _assemble_solution(net, psi, psi1, psi2, psi4, condition)
-
-
-def _max_abs(v) -> float:
-    return float(np.max(np.abs(v)))
 
 
 def verify_fixed_point(net: FeedbackNetwork, sol: NetworkSolution, tol: float = 1e-10) -> float:

@@ -108,6 +108,8 @@ def solve_by_iteration(
     psi = as_state(psi, net.dim)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not 0.0 <= tol < math.inf:  # false for NaN
+        raise ValueError("tol must be finite and non-negative")
     t, s = loop_map(net)
     drive = s @ psi
     radius = spectral_radius(t)
@@ -124,8 +126,8 @@ def solve_by_iteration(
     report = IterationReport(iterations, update_norm, radius, converged)
     if not converged:
         raise NotConvergedError(
-            f"no convergence after {iterations} iterations "
-            f"(last update {update_norm:.3e})",
+            f"no convergence after {iterations} iterations (last update {update_norm:.3e}) "
+            f"[loop spectral radius {radius:.4g}, 1 - radius {1 - radius:.3g}]",
             report,
         )
     psi1, psi2 = couple(net.splitter, psi, psi4)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .linalg import (
     SplitterParams,
+    _max_abs,
     _max_relative_difference,
-    as_operator,
     as_state,
     invert,
     norm_sq,
@@ -50,6 +50,8 @@ class GrandfatherParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie strictly inside (0, 1)")
+        if self.beta < 1e-75:  # below ~1e-77 the lineshape's alpha^2 / beta^4 overflows
+            raise ValueError(f"beta {self.beta:g} is below 1e-75, out of the lineshape's range")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
 
@@ -102,7 +104,6 @@ def build_undo(g1, g2, splitter: SplitterParams) -> FeedbackNetwork:
     Solving it yields psi3' = g1 psi for any coupler setting. Raises
     :class:`qtimeloop.linalg.SingularMatrixError` when g1 is not invertible.
     """
-    g1 = as_operator(g1)
     inv_g1, _ = invert(g1)
     return FeedbackNetwork(g1=g1, g2=g2, m=-inv_g1, splitter=splitter)
 
@@ -140,7 +141,7 @@ def special_case(name: str, seed: int, dim: int = 4):
         g2 = -g1
     net = FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(_LIMIT_BETA[name]))
     expected = -(g2 @ psi) if name == "full-feedback" else g1 @ psi
-    residual = float(np.max(np.abs(solve_closed_form(net, psi).psi3p - expected)))
+    residual = _max_abs(solve_closed_form(net, psi).psi3p - expected)
     tol = 1e-11
     checks = [("psi3' matches the exact limit", residual, tol)]
     return checks, {"residual": residual, "tolerance": tol}
@@ -177,7 +178,7 @@ def undo_case(seed: int, dim: int, beta: float):
     g2 = random_unitary(dim, seed + 1)
     net = build_undo(g1, g2, SplitterParams.from_beta(beta))
     psi = _random_state(seed + 2, dim)
-    residual = float(np.max(np.abs(solve_closed_form(net, psi).psi3p - g1 @ psi)))
+    residual = _max_abs(solve_closed_form(net, psi).psi3p - g1 @ psi)
     tol = 1e-11
     checks = [("psi3' = g1 psi (backward trip cancels the loop)", residual, tol)]
     return checks, {"residual": residual, "tolerance": tol}
@@ -195,13 +196,12 @@ def perturbative_check(g1, g2, m, psi, gamma: float = 1e-4):
     Raises :class:`qtimeloop.linalg.SingularMatrixError` when (1 - m g2)
     is resonant.
     """
-    g1 = as_operator(g1)
-    g2 = as_operator(g2, g1.shape[0])
-    m = as_operator(m, g1.shape[0])
-    psi = as_state(psi, g1.shape[0])
+    net = FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(0.0))  # checks g1, g2, m
+    psi = as_state(psi, net.dim)
     if not 0.0 < gamma <= 0.01:
         raise ValueError("gamma must lie in (0, 0.01]")
-    eye = np.eye(g1.shape[0], dtype=complex)
+    g1, g2, m = net.g1, net.g2, net.m
+    eye = np.eye(net.dim, dtype=complex)
     resolvent, _ = invert(eye - m @ g2)
     analytic = -(g1 + g2) @ (resolvent @ ((eye + m @ g1) @ psi))
 
@@ -209,7 +209,7 @@ def perturbative_check(g1, g2, m, psi, gamma: float = 1e-4):
         splitter = SplitterParams.from_beta(math.sqrt(gam))
         return solve_closed_form(FeedbackNetwork(g1, g2, m, splitter), psi).psi3p
 
-    base = output(0.0)
+    base = solve_closed_form(net, psi).psi3p
     d_full = (output(gamma) - base) / gamma
     d_half = (output(gamma / 2.0) - base) / (gamma / 2.0)
     numeric = 2.0 * d_half - d_full
@@ -242,6 +242,8 @@ def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: i
     responsibility; keep a couple thousand points across the peak for an
     honest comparison with ``predicted_fwhm``.
     """
+    if p.phi != 0.0:
+        raise ValueError("phase_scan sweeps phi itself; p.phi must be 0")
     if n_points < 3:
         raise ValueError("need at least 3 points")
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)) or phi_min >= phi_max:

@@ -141,6 +141,24 @@ def test_not_converged_message_tells_a_near_unit_radius_from_one(tmp_path, capsy
     assert "1 - radius 9e-06" in capsys.readouterr().err
 
 
+def test_not_converged_stderr_is_one_line_from_the_oracle(tmp_path, capsys):
+    cfg = write_config(tmp_path, g2="phase:-1.3", m="phase:1.3", beta=0.003)
+    assert main(["solve", str(cfg), "--oracle", "--max-iter", "50"]) == 3
+    assert capsys.readouterr().err == (
+        "error: no convergence after 50 iterations (last update 2.999e-03) "
+        "[loop spectral radius 1, 1 - radius 9e-06]\n"
+    )
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_solve_oracle_rejects_a_tolerance_that_checks_nothing(tol, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "record.json"
+    assert main(["solve", str(cfg), "--oracle", "--tol", tol, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be finite and non-negative\n"
+    assert not out.exists()
+
+
 def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "record.json"
@@ -233,6 +251,17 @@ def test_scenario_rejects_options_the_case_does_not_take(name, argv, tmp_path, c
 def test_scenario_bad_beta_exits_1(capsys):
     assert main(["scenario", "grandfather", "--beta", "1.5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--beta", "1e-90", "--points", "4"],
+    ["scenario", "grandfather", "--beta", "1e-90", "--phi", "0.1"],
+])
+def test_beta_below_the_lineshape_range_exits_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: beta 1e-90 is below 1e-75, out of the lineshape's range\n"
 
 
 # ---------------------------------------------------------------- scan

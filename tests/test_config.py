@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qtimeloop.config import ConfigError, load_config, parse_config
-from qtimeloop.linalg import is_unitary
 from qtimeloop.network import solve_closed_form
 from qtimeloop.records import build_run_record, record_to_csv, vector_to_json
 
@@ -47,7 +46,7 @@ def test_parse_random_unitary_preset_is_seeded():
     net_a, _ = parse_config(base_config(dim=3, g1="random-unitary:7", input_state="basis:2"))
     net_b, _ = parse_config(base_config(dim=3, g1="random-unitary:7", input_state="basis:2"))
     np.testing.assert_array_equal(net_a.g1, net_b.g1)
-    assert is_unitary(net_a.g1, 1e-10)
+    assert np.max(np.abs(net_a.g1.conj().T @ net_a.g1 - np.eye(3))) <= 1e-10
 
 
 def test_parse_matrix_and_vector_literals():
@@ -94,6 +93,12 @@ def test_parse_rejects_unknown_keys_and_presets():
         parse_config(base_config(g1="hadamard"))
     with pytest.raises(ConfigError, match="basis index"):
         parse_config(base_config(input_state="basis:5"))
+
+
+def test_negative_random_unitary_seed_names_the_operator_and_preset():
+    message = "m: random-unitary seed must be non-negative, got 'random-unitary:-5'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(base_config(m="random-unitary:-5"))
 
 
 def test_parse_rejects_bad_dim_and_amplitudes():

@@ -51,6 +51,13 @@ def test_grandfather_params_validation():
         GrandfatherParams(beta=0.5, theta=float("inf"))
 
 
+def test_grandfather_params_reject_a_beta_the_lineshape_cannot_take():
+    # alpha^2 / beta^4 overflows below beta ~ 1e-77; beta^4 underflows to 0 below ~1e-81
+    with pytest.raises(ValueError, match="below 1e-75"):
+        GrandfatherParams(beta=1e-76)
+    assert grandfather_transmission(GrandfatherParams(beta=1e-75).beta, 0.0) == 1.0
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.1, 0.3, 0.7, 0.95])
 @pytest.mark.parametrize("theta", [0.0, 1.3])
 def test_zero_phi_transmits_fully_for_any_coupling(beta, theta):
@@ -260,6 +267,11 @@ def test_phase_scan_validates_range():
         phase_scan(p, 1.0, -1.0, 101)
     with pytest.raises(ValueError):
         phase_scan(p, -1.0, 1.0, 2)
+
+
+def test_phase_scan_rejects_a_phi_it_would_ignore():
+    with pytest.raises(ValueError, match="p.phi must be 0"):
+        phase_scan(GrandfatherParams(beta=0.3, phi=1.0), -math.pi, math.pi, 11)
 
 
 def test_predicted_fwhm_tracks_half_max_of_formula():
