@@ -55,9 +55,13 @@ def _checked(arr: np.ndarray, kind: str, dim: int | None) -> np.ndarray:
         raise ValueError(f"{kind} dimension must be in [1, {DIM_CAP}], got {n}")
     if dim is not None and n != dim:
         raise ValueError(f"{kind} dimension mismatch: {n} != {dim}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{kind} entries must be finite")
+    _require_finite(np.isfinite(arr).all(), kind)
     return arr
+
+
+def _require_finite(finite: bool, kind: str) -> None:
+    if not finite:
+        raise ValueError(f"{kind} entries must be finite")
 
 
 def readonly_copy(a: np.ndarray) -> np.ndarray:
@@ -95,14 +99,7 @@ def invert(a) -> tuple[np.ndarray, float]:
     """
     a = as_operator(a)
     if a.shape[0] == 1:
-        ar, ai = a.real.item(), a.imag.item()
-        if math.hypot(ar, ai) < PIVOT_FLOOR:
-            raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf)
-        swap = abs(ai) > abs(ar)  # divide by the larger part, as ztrti2 does
-        ratio = ar / ai if swap else ai / ar
-        den = 1.0 / ((ai if swap else ar) * (1.0 + ratio * ratio))
-        inverse = complex(ratio * den, -den) if swap else complex(den, -ratio * den)
-        return np.array([[inverse]]), 1.0
+        return np.array([[_invert_scalar(a.item())]]), 1.0
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -112,6 +109,18 @@ def invert(a) -> tuple[np.ndarray, float]:
         message = f"matrix is numerically singular (1-norm condition {condition:.3e})"
         raise SingularMatrixError(message, condition=condition)
     return np.asfortranarray(inverse), condition
+
+
+def _invert_scalar(z: complex) -> complex:
+    """1/z for the 1 x 1 matrix [z], with :func:`invert`'s checks and ztrti2's rounding."""
+    ar, ai = z.real, z.imag
+    _require_finite(math.isfinite(ar) and math.isfinite(ai), "operator")
+    if math.hypot(ar, ai) < PIVOT_FLOOR:
+        raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf)
+    swap = abs(ai) > abs(ar)  # divide by the larger part, as ztrti2 does
+    ratio = ar / ai if swap else ai / ar
+    den = 1.0 / ((ai if swap else ar) * (1.0 + ratio * ratio))
+    return complex(ratio * den, -den) if swap else complex(den, -ratio * den)
 
 
 def spectral_radius(a) -> float:

@@ -4,11 +4,14 @@ A network couples the input amplitude to a loop that carries part of the
 late-time output backwards through the propagator ``m``; ``g1`` and ``g2``
 are the two competing forward channels between the couplers. The closed
 form inverts the loop denominator (1 + beta^2 M G1 - alpha^2 M G2) once
-and reads every internal amplitude off it.
+and reads every internal amplitude off it. At d=1 it runs on Python
+``complex`` scalars, bit-equal to the 1x1 matrix path without numpy's
+per-call cost; the oracle's d=1 solutions share that scalar assembly.
 """
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,7 +20,9 @@ import numpy as np
 from .linalg import (
     SingularMatrixError,
     SplitterParams,
+    _invert_scalar,
     _max_abs,
+    _require_finite,
     as_operator,
     as_state,
     couple,
@@ -77,24 +82,31 @@ class NetworkSolution:
 
 def _assemble_solution(net, psi, psi1, psi2, psi4, denom_condition):
     """Derive the late-time amplitudes and conservation diagnostics."""
+    if net.dim == 1:
+        return _assemble_scalar(net, *(v.item() for v in (psi, psi1, psi2, psi4)), denom_condition)
     psi1p = net.g1 @ psi1
     psi2p = net.g2 @ psi2
     psi3p, psi4p = couple(net.splitter, psi1p, psi2p)
     res_t1 = abs(norm_sq(psi1) + norm_sq(psi2) - norm_sq(psi) - norm_sq(psi4))
     res_t2 = abs(norm_sq(psi3p) + norm_sq(psi4p) - norm_sq(psi1p) - norm_sq(psi2p))
-    return NetworkSolution(
-        psi_in=psi.copy(),
-        psi1=psi1,
-        psi2=psi2,
-        psi4=psi4,
-        psi1p=psi1p,
-        psi2p=psi2p,
-        psi3p=psi3p,
-        psi4p=psi4p,
-        denom_condition=denom_condition,
-        conservation_residual_t1=res_t1,
-        conservation_residual_t2=res_t2,
-    )
+    vectors = (psi.copy(), psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
+    return NetworkSolution(*vectors, denom_condition, res_t1, res_t2)
+
+
+def _assemble_scalar(net, psi, psi1, psi2, psi4, denom_condition):
+    """:func:`_assemble_solution` at d=1, on Python complex scalars. A 1x1 product
+    [x] @ [y] is 0j + x * y: numpy's sum starts at +0.0, turning a -0.0 into +0.0."""
+    a, b = net.splitter.alpha, net.splitter.beta
+    psi1p, psi2p = 0j + net.g1.item() * psi1, 0j + net.g2.item() * psi2
+    _require_finite(cmath.isfinite(psi1p) and cmath.isfinite(psi2p), "state")  # as couple does
+    psi3p, psi4p = a * psi1p - 1j * b * psi2p, a * psi2p - 1j * b * psi1p
+    vectors = (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
+    sq = [z.real * z.real + z.imag * z.imag for z in vectors]
+    if not cmath.isfinite(sum(sq)):  # past the float range norm_sq's inf or NaN varies by BLAS
+        sq = [norm_sq([z]) for z in vectors]
+    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = sq
+    residuals = abs(n1 + n2 - n_in - n4), abs(n3p + n4p - n1p - n2p)
+    return NetworkSolution(*np.array(vectors).reshape(8, 1), denom_condition, *residuals)
 
 
 def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
@@ -106,14 +118,23 @@ def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
     psi4 = alpha M G2 psi2 - i beta M G1 psi1, which keeps a
     non-invertible ``m`` perfectly usable. Raises
     :class:`SingularDenominatorError` when D cannot be formed; that is a
-    physical resonance, not something to regularize away.
+    physical resonance, not something to regularize away. At d=1 the same
+    expressions run on Python complex scalars, bit-equal to the 1x1 matrices.
     """
     psi = as_state(psi, net.dim)
     a, b = net.splitter.alpha, net.splitter.beta
-    eye = np.eye(net.dim, dtype=complex)
-    mg1 = net.m @ net.g1
-    mg2 = net.m @ net.g2
     try:
+        if net.dim == 1:
+            m, psi = net.m.item(), psi.item()
+            mg1, mg2 = 0j + m * net.g1.item(), 0j + m * net.g2.item()
+            d = _invert_scalar(1 + b * b * mg1 - a * a * mg2)
+            psi1 = a * (0j + d * (0j + (1 - mg2) * psi))
+            psi2 = -1j * b * (0j + d * (0j + (1 + mg1) * psi))
+            psi4 = a * (0j + mg2 * psi2) - 1j * b * (0j + mg1 * psi1)
+            return _assemble_scalar(net, psi, psi1, psi2, psi4, 1.0)
+        eye = np.eye(net.dim, dtype=complex)
+        mg1 = net.m @ net.g1
+        mg2 = net.m @ net.g2
         d_op, condition = invert(eye + b * b * mg1 - a * a * mg2)
     except SingularMatrixError as exc:
         raise SingularDenominatorError(

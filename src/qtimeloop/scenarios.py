@@ -48,12 +48,17 @@ class GrandfatherParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie strictly inside (0, 1)")
-        if self.beta < 1e-75:  # below ~1e-77 the lineshape's alpha^2 / beta^4 overflows
-            raise ValueError(f"beta {self.beta:g} is below 1e-75, out of the lineshape's range")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
+        _check_range(self.beta, self.theta, self.phi)
+
+
+def _check_range(beta: float, *phases: float) -> None:
+    """The lineshape's range: beta strictly inside (0, 1), not below 1e-75; finite phases."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie strictly inside (0, 1)")
+    if beta < 1e-75:  # below ~1e-77 the lineshape's alpha^2 / beta^4 overflows
+        raise ValueError(f"beta {beta:g} is below 1e-75, out of the lineshape's range")
+    if not all(map(math.isfinite, phases)):
+        raise ValueError("theta and phi must be finite")
 
 
 def build_grandfather(p: GrandfatherParams) -> FeedbackNetwork:
@@ -64,12 +69,16 @@ def build_grandfather(p: GrandfatherParams) -> FeedbackNetwork:
     """
     g1 = np.zeros((1, 1), dtype=complex)
     g2 = np.array([[cmath.exp(-1j * p.theta)]])
-    m = np.array([[cmath.exp(1j * (p.theta + p.phi))]])
-    return FeedbackNetwork(g1=g1, g2=g2, m=m, splitter=SplitterParams.from_beta(p.beta))
+    return FeedbackNetwork(g1, g2, _backward_leg(p.theta, p.phi), SplitterParams.from_beta(p.beta))
+
+
+def _backward_leg(theta: float, phi: float) -> np.ndarray:
+    return np.array([[cmath.exp(1j * (theta + phi))]])
 
 
 def grandfather_transmission(beta: float, phi: float) -> float:
     """Analytic lineshape 1 / (1 + 4 (alpha^2/beta^4) sin^2(phi/2))."""
+    _check_range(beta)
     alpha_sq = 1.0 - beta * beta
     s = math.sin(0.5 * phi)
     return 1.0 / (1.0 + 4.0 * alpha_sq / beta**4 * s * s)
@@ -77,6 +86,7 @@ def grandfather_transmission(beta: float, phi: float) -> float:
 
 def predicted_fwhm(beta: float) -> float:
     """Small-coupling width 2 beta^2 / alpha of the transmission peak."""
+    _check_range(beta)
     return 2.0 * beta * beta / math.sqrt(1.0 - beta * beta)
 
 
@@ -248,14 +258,14 @@ def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: i
         raise ValueError("need at least 3 points")
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)) or phi_min >= phi_max:
         raise ValueError("invalid range: need finite phi_min < phi_max")
-    phis = np.linspace(phi_min, phi_max, n_points)
-    unit = np.ones(1, dtype=complex)
-    transmitted = np.empty(n_points)
-    for i, phi in enumerate(phis):
-        net = build_grandfather(GrandfatherParams(beta=p.beta, theta=p.theta, phi=float(phi)))
-        transmitted[i] = transmitted_probability(solve_closed_form(net, unit))
+    phis = np.linspace(phi_min, phi_max, n_points).tolist()
+    _check_range(p.beta, *phis)  # phi_max - phi_min can overflow
+    base = build_grandfather(p)  # g1, g2 and the coupler every point shares
+    g1, g2, splitter, unit = base.g1, base.g2, base.splitter, np.ones(1, dtype=complex)
+    nets = (FeedbackNetwork(g1, g2, _backward_leg(p.theta, phi), splitter) for phi in phis)
+    transmitted = np.array([transmitted_probability(solve_closed_form(n, unit)) for n in nets])
     return PhaseScanResult(
-        points=tuple((float(x), float(v)) for x, v in zip(phis, transmitted)),
+        points=tuple(zip(phis, transmitted.tolist())),
         fwhm_numeric=_interpolated_fwhm(phis, transmitted),
         fwhm_predicted=predicted_fwhm(p.beta),
     )

@@ -15,6 +15,7 @@ were written by the CLI that still rendered records with
 ``json.dumps(indent=2)`` and parsed literals one cell at a time.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,37 @@ def test_cli_stdout_matches_golden(case, tmp_path, capsys):
     argv, outputs, stdout, code = CASES[case]
     run_case(argv, outputs, code, tmp_path)
     assert capsys.readouterr().out.encode() == (GOLDEN / stdout).read_bytes()
+
+
+# full 4,001-point scans at the benchmark's betas and at beta=0.003, each at a
+# fixed theta: beta >= 0.1 over the whole circle, smaller betas over about
+# +-20 predicted widths. SHA-256 of (CSV, SVG), written by the CLI whose d=1
+# closed form still ran on 1x1 numpy arrays.
+SCAN_DIGESTS = {
+    ("0.3", "0.7", "3.141592653589793"): (
+        "4a87cb80869ed048139f3a5913c050f6921343d711955b2d19c953eb4b0faf08",
+        "b6d755a7103cb4aede69c886c978a3a654e797c2f7f822dc62754bc99a4e7d84",
+    ),
+    ("0.1", "-1.3", "3.141592653589793"): (
+        "d263289c4d0359cb299925ebbec99fae14790c3a00c6b81b0911e7b3a8a2a7c2",
+        "8ab450469a5976d42c9332bca39c946d5a53aa1ad820e13bfb3f5e60a309007b",
+    ),
+    ("0.03", "2.1", "0.03601621094320771"): (
+        "95e762a8679aeab09a11c953f97778e2b59c6304e785a5f526f3ae0018ee2288",
+        "27862f445b656a18039eadfb365cce84ebf9fc96656745f5c26e7098ea706e96",
+    ),
+    ("0.003", "0.4", "0.0003600016200109351"): (
+        "3f9ddce7ecd105170b534653ca20b59b3ed24d835630dc8a20619846ef11d6c9",
+        "005de59cdd7291963ba423cdc6ab2f940705db1e430fe72fc0f27432b72c6bbf",
+    ),
+}
+
+
+@pytest.mark.parametrize("beta, theta, half", sorted(SCAN_DIGESTS))
+def test_full_scan_matches_golden_digest(beta, theta, half, tmp_path):
+    argv = ["scan", f"--beta={beta}", f"--theta={theta}", f"--phi-min=-{half}",
+            f"--phi-max={half}", "--points", "4001"]
+    outputs = {"--out": "scan.csv", "--svg": "scan.svg"}
+    written = run_case(argv, outputs, 0, tmp_path)
+    digests = tuple(hashlib.sha256(written[name]).hexdigest() for name in outputs.values())
+    assert digests == SCAN_DIGESTS[beta, theta, half]

@@ -58,6 +58,14 @@ def test_grandfather_params_reject_a_beta_the_lineshape_cannot_take():
     assert grandfather_transmission(GrandfatherParams(beta=1e-75).beta, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("beta", [1e-78, 1e-90, 0.0, 1.0, math.nan])
+def test_lineshape_helpers_take_only_the_betas_grandfather_params_takes(beta):
+    # unguarded, 1e-78 gave nan (inf * sin(0)^2) and 1e-90 a ZeroDivisionError
+    for call in (lambda: grandfather_transmission(beta, 0.0), lambda: predicted_fwhm(beta)):
+        with pytest.raises(ValueError, match="beta"):
+            call()
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.1, 0.3, 0.7, 0.95])
 @pytest.mark.parametrize("theta", [0.0, 1.3])
 def test_zero_phi_transmits_fully_for_any_coupling(beta, theta):
