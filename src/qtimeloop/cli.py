@@ -10,6 +10,9 @@ This module only parses arguments, renders results and maps errors to exit
 codes: the worked cases, their identities and tolerances live in
 :mod:`qtimeloop.scenarios`, the scan's input rules in ``phase_scan``.
 
+Warnings, such as an oracle loop radius of 1 or more, print as one
+``warning:`` line on stderr, errors as one ``error:`` line.
+
 Exit codes: 0 success, 1 config/usage error or violated identity,
 2 singular loop denominator, 3 iteration did not converge.
 """
@@ -20,6 +23,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 
 from . import __version__
@@ -202,11 +206,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # one line, like the error lines: no path, line number or source of the caller
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help/--version and usage errors
         return int(exc.code or 0)
+    default_format, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     # ConfigError is a ValueError, SingularDenominatorError a SingularMatrixError
@@ -215,6 +225,8 @@ def main(argv=None) -> int:
         if isinstance(exc, NotConvergedError):
             return EXIT_NOT_CONVERGED
         return EXIT_SINGULAR if isinstance(exc, SingularDenominatorError) else EXIT_CONFIG
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -6,11 +6,15 @@ values. Dimensions are capped at ``DIM_CAP``; the interesting physics
 lives at very small d (the worked cases are scalar).
 
 :func:`invert` needs numpy only. At d=1 it skips array routines, whose
-per-call cost dominates there, and takes 1/z in Python floats.
+per-call cost dominates there, and takes 1/z in Python floats. For the
+same reason the finite check of a 1x1 operator or a length-1 state and
+:func:`norm_sq` of a single entry run on Python scalars, bit for bit
+what the array routines give.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,7 +59,7 @@ def _checked(arr: np.ndarray, kind: str, dim: int | None) -> np.ndarray:
         raise ValueError(f"{kind} dimension must be in [1, {DIM_CAP}], got {n}")
     if dim is not None and n != dim:
         raise ValueError(f"{kind} dimension mismatch: {n} != {dim}")
-    _require_finite(np.isfinite(arr).all(), kind)
+    _require_finite(cmath.isfinite(arr.item()) if arr.size == 1 else np.isfinite(arr).all(), kind)
     return arr
 
 
@@ -65,8 +69,8 @@ def _require_finite(finite: bool, kind: str) -> None:
 
 
 def readonly_copy(a: np.ndarray) -> np.ndarray:
-    """Defensive copy with the write flag cleared."""
-    out = np.array(a, dtype=complex, copy=True)
+    """Defensive copy with the write flag cleared; keeps the memory order (C or Fortran)."""
+    out = np.asarray(a, dtype=complex).copy(order="K")
     out.setflags(write=False)
     return out
 
@@ -74,6 +78,18 @@ def readonly_copy(a: np.ndarray) -> np.ndarray:
 def norm_sq(v) -> float:
     """Squared Euclidean norm sum_i |v_i|^2."""
     arr = np.asarray(v, dtype=complex)
+    if arr.size == 1:
+        return _abs_sq(arr.item())
+    return float(np.vdot(arr, arr).real)
+
+
+def _abs_sq(z: complex) -> float:
+    """|z|^2 as re*re + im*im, bit for bit np.vdot's where finite. Past the float
+    range the result is np.vdot's own inf or NaN, which depends on the BLAS kernel."""
+    sq = z.real * z.real + z.imag * z.imag
+    if math.isfinite(sq):
+        return sq
+    arr = np.array([z])
     return float(np.vdot(arr, arr).real)
 
 

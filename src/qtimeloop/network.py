@@ -7,6 +7,8 @@ form inverts the loop denominator (1 + beta^2 M G1 - alpha^2 M G2) once
 and reads every internal amplitude off it. At d=1 it runs on Python
 ``complex`` scalars, bit-equal to the 1x1 matrix path without numpy's
 per-call cost; the oracle's d=1 solutions share that scalar assembly.
+The d=1 operator and state checks and squared norms around a solve run on
+Python scalars too (see :mod:`qtimeloop.linalg`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .linalg import (
     SingularMatrixError,
     SplitterParams,
+    _abs_sq,
     _invert_scalar,
     _max_abs,
     _require_finite,
@@ -101,10 +104,7 @@ def _assemble_scalar(net, psi, psi1, psi2, psi4, denom_condition):
     _require_finite(cmath.isfinite(psi1p) and cmath.isfinite(psi2p), "state")  # as couple does
     psi3p, psi4p = a * psi1p - 1j * b * psi2p, a * psi2p - 1j * b * psi1p
     vectors = (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
-    sq = [z.real * z.real + z.imag * z.imag for z in vectors]
-    if not cmath.isfinite(sum(sq)):  # past the float range norm_sq's inf or NaN varies by BLAS
-        sq = [norm_sq([z]) for z in vectors]
-    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = sq
+    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = map(_abs_sq, vectors)
     residuals = abs(n1 + n2 - n_in - n4), abs(n3p + n4p - n1p - n2p)
     return NetworkSolution(*np.array(vectors).reshape(8, 1), denom_condition, *residuals)
 

@@ -58,11 +58,12 @@ def _iterate_scalar(t, drive, tol, max_iter):
     """d=1 recurrence x <- t x + c, bit for bit what :func:`_iterate_matrix` returns."""
     t, c = complex(t[0, 0]), complex(drive[0])
     x = step = 0j
+    near_tol = tol * _AGREE
     for iterations in range(1, max_iter + 1):
         new = t * x + c
         step, x = new - x, new
         try:
-            if tol * _AGREE < abs(step) < 1e308:
+            if near_tol < abs(step) < 1e308:
                 continue
         except OverflowError:  # finite parts, modulus past the float range
             pass

@@ -150,6 +150,24 @@ def test_not_converged_stderr_is_one_line_from_the_oracle(tmp_path, capsys):
     )
 
 
+def test_expanding_loop_stderr_is_one_warning_line_and_one_error_line(tmp_path):
+    # a subprocess, so the warning reaches stderr as a user sees it, not pytest's recorder
+    cfg = write_config(tmp_path, g2="identity", m=[[{"re": 3.0, "im": 0.0}]], beta=0.5)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtimeloop", "solve", str(cfg), "--oracle", "--max-iter", "50"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "warning: loop spectral radius 2.25 >= 1 (1 - radius = -1.25); "
+        "iteration may not converge\n"
+        "error: no convergence after 50 iterations (last update 2.347e+17) "
+        "[loop spectral radius 2.25, 1 - radius -1.25]\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_solve_oracle_rejects_a_tolerance_that_checks_nothing(tol, tmp_path, capsys):
     cfg = write_config(tmp_path)

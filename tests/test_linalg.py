@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -289,3 +290,58 @@ def test_as_state_rejects_bad_shapes_and_values():
         as_state(np.ones((2, 2)))
     with pytest.raises(ValueError):
         as_state(np.array([np.nan, 0.0]))
+
+
+# ---------------------------------------------------------------- norm_sq of one entry
+
+def vdot_norm_sq(z):
+    arr = np.array([z])
+    return float(np.vdot(arr, arr).real)
+
+
+def assert_norm_sq_is_vdots(z):
+    expected = struct.pack("<d", vdot_norm_sq(z))
+    for shaped in (z, [z], np.array([z]), np.array([[z]])):
+        got = norm_sq(shaped)
+        assert type(got) is float
+        assert struct.pack("<d", got) == expected, (z, shaped, got)
+
+
+# signed zeros, subnormals, the smallest normal, parts whose square leaves the
+# float range (near 1.34e154) and the largest floats
+EDGE_PARTS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1.5e-154,
+    1e154, 1.3407807929942596e154, -1.3407807929942597e154, 1e200, -1e308,
+    1.7976931348623157e308,
+)
+
+
+def test_norm_sq_of_one_entry_is_vdots_bit_for_bit_on_an_edge_grid():
+    for re, im in itertools.product(EDGE_PARTS, repeat=2):
+        assert_norm_sq_is_vdots(complex(re, im))
+
+
+@settings(max_examples=500, deadline=None)
+@given(re=st.floats(allow_nan=False, allow_infinity=False),
+       im=st.floats(allow_nan=False, allow_infinity=False))
+def test_norm_sq_of_one_entry_is_vdots_bit_for_bit_on_random_draws(re, im):
+    assert_norm_sq_is_vdots(complex(re, im))
+
+
+@pytest.mark.parametrize("z", [1e200, complex(1e-10, -1e160), complex(1e308, 1e308)], ids=repr)
+def test_norm_sq_of_one_entry_past_the_float_range_is_vdots_own_result(z, monkeypatch):
+    # np.vdot's inf or NaN there depends on the BLAS kernel; it must not be replaced
+    expected = struct.pack("<d", vdot_norm_sq(z))
+    calls = []
+    vdot = np.vdot
+
+    def spy(a, b):
+        calls.append(a)
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    assert struct.pack("<d", norm_sq([z])) == expected
+    assert len(calls) == 1
+    calls.clear()
+    norm_sq([1e150 + 1e150j])  # the square is finite: no np.vdot
+    assert calls == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeloop.linalg import SplitterParams, norm_sq, random_unitary
+from qtimeloop.linalg import SplitterParams, as_operator, as_state, norm_sq, random_unitary
 from qtimeloop.network import (
     FeedbackNetwork,
     SingularDenominatorError,
@@ -16,6 +16,7 @@ from qtimeloop.network import (
     transmitted_probability,
     verify_fixed_point,
 )
+from qtimeloop.scenarios import build_undo
 
 
 def normalized_state(seed, dim):
@@ -51,6 +52,68 @@ def test_network_operators_are_frozen_copies():
     assert net.g1[0, 0] == 1.0
     with pytest.raises(ValueError):
         net.g1[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_network_copies_keep_the_memory_order_and_are_read_only(dim):
+    g = np.ascontiguousarray(random_unitary(dim, 0))
+    m = np.asfortranarray(random_unitary(dim, 1))
+    net = FeedbackNetwork(g, g, m, SplitterParams.from_beta(0.5))
+    assert net.g1.flags.c_contiguous and net.g2.flags.c_contiguous
+    assert net.m.flags.f_contiguous
+    assert net.m.flags.c_contiguous == (dim == 1)
+    for op in (net.g1, net.g2, net.m):
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 5.0
+
+
+def test_undo_network_keeps_the_fortran_order_of_its_inverse():
+    # m = -g1^-1 comes from invert in Fortran order; m @ v takes the gemv kernel the goldens used
+    net = build_undo(random_unitary(4, 0), random_unitary(4, 1), SplitterParams.from_beta(0.3))
+    assert net.m.flags.f_contiguous and not net.m.flags.c_contiguous
+
+
+@pytest.mark.parametrize("passed_read_only", [False, True])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_network_ignores_later_writes_to_the_callers_arrays(dim, passed_read_only):
+    arrays = [random_unitary(dim, 0), random_unitary(dim, 1), np.asfortranarray(random_unitary(dim, 2))]
+    for a in arrays:
+        a.setflags(write=not passed_read_only)
+    net = FeedbackNetwork(*arrays, SplitterParams.from_beta(0.5))
+    kept = [op.copy() for op in (net.g1, net.g2, net.m)]
+    for a in arrays:
+        a.setflags(write=True)
+        a[...] = 99.0
+    for op, before in zip((net.g1, net.g2, net.m), kept):
+        assert np.array_equal(op, before)
+
+
+NON_FINITE = (
+    complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+    complex(-math.inf, 0.0), complex(0.0, math.inf), complex(0.0, -math.inf),
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_non_finite_entries_are_rejected_with_one_message_at_every_size(bad, dim):
+    good = np.eye(dim, dtype=complex)
+    op = good.copy()
+    op[-1, -1] = bad
+    state = np.ones(dim, dtype=complex)
+    state[-1] = bad
+    splitter = SplitterParams.from_beta(0.5)
+    operator_message, state_message = "^operator entries must be finite$", "^state entries must be finite$"
+    with pytest.raises(ValueError, match=operator_message):
+        as_operator(op)
+    for operators in ((op, good, good), (good, op, good), (good, good, op)):
+        with pytest.raises(ValueError, match=operator_message):
+            FeedbackNetwork(*operators, splitter)
+    with pytest.raises(ValueError, match=state_message):
+        as_state(state)
+    with pytest.raises(ValueError, match=state_message):
+        solve_closed_form(FeedbackNetwork(good, good, good, splitter), state)
 
 
 def test_no_feedback_limit_reproduces_forward_channel():
