@@ -6,9 +6,11 @@ as presets ("zero", "identity", "phase:<radians>", "random-unitary:<seed>")
 or as explicit matrices with {re, im} entries, so every worked case is
 expressible without writing matrices by hand.
 
-A literal becomes one array built from a nested comprehension, one
-``_parse_entry`` call per cell; the cell's location (``g1[0][1]``) is
-formatted only for an error. Every entry must be finite: json.load accepts
+A literal becomes one array in a few C-level passes over its cells: a test
+of their keys and part types, then one fill of the real and imaginary parts,
+which keeps ``-0.0`` and converts an int exactly as ``float``. A literal that
+fails is walked cell by cell by ``_parse_entry``, whose error names the first
+bad cell (``g1[0][1]``). Every entry must be finite: json.load accepts
 ``NaN`` and ``Infinity``, and integers of any size.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -85,8 +88,30 @@ def _parse_splitter(raw: dict) -> SplitterParams:
     return SplitterParams.from_alpha(value) if has_alpha else SplitterParams.from_beta(value)
 
 
+def _parse_literal(cells: list, name: str, shape: tuple) -> np.ndarray:
+    """The flattened cells of a literal as a complex array of ``shape``."""
+    entries = cells
+    if set(map(type, cells)) != {dict}:  # a bare number is its {re} object
+        entries = [cell if isinstance(cell, dict) else {"re": cell} for cell in cells]
+    if set().union(*entries) <= _PARTS:
+        res = list(map(dict.get, entries, repeat("re"), repeat(0.0)))
+        ims = list(map(dict.get, entries, repeat("im"), repeat(0.0)))
+        kinds = {*map(type, res), *map(type, ims)}  # bool has no subclasses
+        if bool not in kinds and all(map(issubclass, kinds, repeat((int, float)))):
+            out = np.empty(len(cells), dtype=complex)
+            try:
+                out.real, out.imag = res, ims
+            except OverflowError:  # an integer beyond the largest double
+                pass
+            else:
+                return _finite(out.reshape(shape), name)
+    for k, cell in enumerate(cells):
+        _parse_entry(cell, name, *np.unravel_index(k, shape))
+    raise AssertionError(f"{name}: a literal failed the bulk tests but no entry is bad")
+
+
 def _parse_entry(obj, name: str, *index: int) -> complex:
-    """One literal entry; its location ``name[i][j]`` is spelled out only in an error.
+    """One literal entry, checked alone to name the first bad cell of a literal.
 
     An {re, im} object, the common form, is tested first; it cannot also be
     a number.
@@ -134,10 +159,7 @@ def _parse_operator(spec, dim: int, name: str) -> np.ndarray:
     if isinstance(spec, list):
         if len(spec) != dim or any(not isinstance(row, list) or len(row) != dim for row in spec):
             raise ConfigError(f"{name}: matrix literal must be {dim}x{dim}")
-        return _finite(np.array([
-            [_parse_entry(cell, name, i, j) for j, cell in enumerate(row)]
-            for i, row in enumerate(spec)
-        ], dtype=complex), name)
+        return _parse_literal(list(chain.from_iterable(spec)), name, (dim, dim))
     raise ConfigError(f"{name}: expected a preset string or a matrix literal")
 
 
@@ -181,7 +203,5 @@ def _parse_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, list):
         if len(spec) != dim:
             raise ConfigError(f"input_state: vector literal must have length {dim}")
-        return _finite(np.array(
-            [_parse_entry(cell, "input_state", i) for i, cell in enumerate(spec)], dtype=complex
-        ), "input_state")
+        return _parse_literal(spec, "input_state", (dim,))
     raise ConfigError("input_state: expected 'basis:<i>' or a vector literal")

@@ -77,12 +77,14 @@ def _iterate_scalar(t, drive, tol, max_iter):
 def _iterate_matrix(t, drive, tol, max_iter):
     """psi4 <- T psi4 + drive from psi4 = 0; returns (psi4, iterations, update, converged)."""
     x = np.zeros(drive.shape[0], dtype=complex)
-    for iterations in range(1, max_iter + 1):
-        new = t @ x + drive
-        update = float(np.abs(new - x).max())
-        x = new
-        if update <= tol or not math.isfinite(update):
-            break
+    # an expanding loop overflows in its last step; the radius warning and the error say so
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            new = t @ x + drive
+            update = float(np.abs(new - x).max())
+            x = new
+            if update <= tol or not math.isfinite(update):
+                break
     return x, iterations, update, update <= tol
 
 

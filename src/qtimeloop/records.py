@@ -4,11 +4,15 @@ Complex numbers serialize as {"re": ..., "im": ...}; floats go through
 Python's shortest round-trip repr, so a record survives a JSON round trip
 bit for bit. ``record_to_json`` writes the bytes of
 ``json.dumps(record, indent=2)`` plus a newline, without the pure-Python
-encoder that ``indent`` selects: one string per container, joined once.
+encoder that ``indent`` selects: one string per container, joined once. A
+list of finite {re, im} float entries, the bulk of a record, is checked and
+formatted in C-level passes, one ``%`` template per entry; any other list,
+and the TypeError json raises, goes item by item.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -94,7 +98,7 @@ def record_to_json(record) -> str:
 
 # float repr -> the JSON token json.dumps writes for it
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_INF = float("inf")
+_RE_IM = ["re", "im"]
 
 
 def _to_json(value, newline: str) -> str:
@@ -107,18 +111,21 @@ def _to_json(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        if tuple(value) == ("re", "im"):
-            re, im = value.values()
-            # the bulk of a record: a finite complex entry
-            if type(re) is float and type(im) is float and -_INF < re < _INF and -_INF < im < _INF:
-                re, im = float.__repr__(re), float.__repr__(im)
-                return f'{{{inner}"re": {re},{inner}"im": {im}{newline}}}'
         items = [f"{_quote(key)}: {_to_json(item, inner)}" for key, item in value.items()]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
+        # the bulk of a record: {re, im} float entries, formatted one by one and
+        # joined once (one % over all parts grows its buffer, and the heap with it)
+        if set(map(type, value)) == {dict} and list(chain.from_iterable(value)) == _RE_IM * len(value):
+            parts = tuple(chain.from_iterable(map(dict.values, value)))
+            if set(map(type, parts)) == {float}:
+                entry = f'{{{inner}  "re": %r,{inner}  "im": %r{inner}}}'
+                body = (',' + inner).join(map(entry.__mod__, zip(parts[::2], parts[1::2])))
+                if "n" not in body:  # only a nan or inf part writes an n
+                    return f"[{inner}{body}{newline}]"
         items = [_to_json(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
     if isinstance(value, float):

@@ -168,6 +168,26 @@ def test_expanding_loop_stderr_is_one_warning_line_and_one_error_line(tmp_path):
     )
 
 
+def test_expanding_matrix_loop_stderr_has_no_numpy_overflow_warnings(tmp_path):
+    # d=2, so the oracle steps with matmul; its iterate overflows before the update is tested
+    m = [[{"re": 1e3, "im": 0.0}, {"re": 0.0, "im": 1e3}],
+         [{"re": -1e3, "im": 0.0}, {"re": 1e3, "im": -1e3}]]
+    cfg = write_config(tmp_path, dim=2, g2="identity", m=m, beta=0.5)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtimeloop", "solve", str(cfg), "--oracle"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "warning: loop spectral radius 1561 >= 1 (1 - radius = -1.56e+03); "
+        "iteration may not converge\n"
+        "error: no convergence after 97 iterations (last update nan) "
+        "[loop spectral radius 1561, 1 - radius -1.56e+03]\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_solve_oracle_rejects_a_tolerance_that_checks_nothing(tol, tmp_path, capsys):
     cfg = write_config(tmp_path)

@@ -196,6 +196,73 @@ def test_literal_entries_keep_their_numeric_types():
     np.testing.assert_array_equal(psi, np.array([3.0, 1e-300j]))
 
 
+def random_entry(rng):
+    """A literal entry in one of the forms a config may use."""
+    re, im = rng.standard_normal(2) * 10.0 ** rng.integers(-300, 300, 2)
+    ints = [int(k) for k in rng.integers(-(2**62), 2**62, 2)]
+    return [
+        {"re": re, "im": im}, {"im": im, "re": re}, {"re": re}, {"im": im}, {}, re,
+        {"re": ints[0], "im": ints[1]}, ints[0], 10**300 + ints[1], {"im": -(2**64) - ints[1]},
+        -0.0, {"re": -0.0, "im": -0.0}, {"im": -0.0}, 5e-324, {"re": -5e-324, "im": 5e-324},
+    ][rng.integers(15)]
+
+
+def reference_entry(cell) -> complex:
+    """What an entry stands for: complex(float(re), float(im)), a missing part 0.0."""
+    if isinstance(cell, dict):
+        return complex(float(cell.get("re", 0.0)), float(cell.get("im", 0.0)))
+    return complex(float(cell), 0.0)
+
+
+def assert_same_bits(got, want):
+    # signed zeros count: -0.0 and 0.0 differ in their bits
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.float64).view(np.uint64),
+                                  want.view(np.float64).view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 4, 64])
+def test_literals_in_every_entry_form_parse_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    literal = {
+        name: [[random_entry(rng) for _ in range(dim)] for _ in range(dim)]
+        for name in ("g1", "g2", "m")
+    }
+    state = [random_entry(rng) for _ in range(dim - 1)] + [{"re": 1.0, "im": -0.0}]
+    net, psi = parse_config(base_config(dim=dim, input_state=state, **literal))
+    for name, rows in literal.items():
+        want = np.array([[reference_entry(cell) for cell in row] for row in rows])
+        assert_same_bits(getattr(net, name), want)
+    assert_same_bits(psi, np.array([reference_entry(cell) for cell in state]))
+
+
+# the last cell of a d=64 literal -> the ConfigError text after its position
+LAST_CELL_ERRORS = {
+    "third-key": ({"re": 1.0, "im": 0.0, "x": 1.0}, "unexpected entry keys ['x']"),
+    "bool-part": ({"re": 1.0, "im": False}, "re/im must be numbers"),
+    "string": ("1.0", "expected a number or an {re, im} object"),
+    "nan": ({"re": 1.0, "im": math.nan}, "entries must be finite"),
+    "huge-int": (10**400, "entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAST_CELL_ERRORS))
+@pytest.mark.parametrize("field", ["g1", "input_state"])
+def test_bad_last_cell_of_a_d64_literal_is_named(field, kind):
+    bad, message = LAST_CELL_ERRORS[kind]
+    rng = np.random.default_rng(64)
+    cells = [{"re": re, "im": im} for re, im in rng.standard_normal((64 * 64, 2)).tolist()]
+    cells[-1] = bad
+    if field == "g1":
+        rows = [cells[i:i + 64] for i in range(0, 64 * 64, 64)]
+        cfg, where = base_config(dim=64, g1=rows), "g1[63][63]"
+    else:
+        cfg, where = base_config(dim=64, input_state=cells[-64:]), "input_state[63]"
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == f"{where}: {message}"
+
+
 # ---------------------------------------------------------------- records
 
 def test_complex_round_trip_is_exact():

@@ -8,17 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeloop.records import record_to_json
+from qtimeloop.config import parse_config
+from qtimeloop.network import solve_closed_form
+from qtimeloop.records import build_run_record, record_to_json
 
 
 def reference(value) -> str:
     return json.dumps(value, indent=2) + "\n"
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+part = st.floats() | st.integers() | st.booleans() | st.floats().map(np.float64)
+# lists of these the renderer writes in bulk when every part is a finite float
+# in the order re, im; any other entry sends the list down the item-by-item path
+entry = st.fixed_dictionaries({"re": finite, "im": finite})
+odd_entry = (
+    st.fixed_dictionaries({"re": part, "im": part})
+    | st.fixed_dictionaries({"im": part, "re": part})
+    | st.fixed_dictionaries({"re": part, "im": part, "x": part})
+)
+entry_lists = st.lists(entry, max_size=70) | st.lists(entry | odd_entry, max_size=70)
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    # the {re, im} entries the renderer writes from a template
-    | st.fixed_dictionaries({"re": st.floats(), "im": st.floats()}),
+    | st.fixed_dictionaries({"re": st.floats(), "im": st.floats()})
+    | entry_lists,
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=40,
 )
@@ -49,6 +63,23 @@ def test_record_to_json_matches_json_dumps(value):
 )
 def test_record_to_json_edge_cases(value):
     assert record_to_json(value) == reference(value)
+
+
+def test_d64_literal_solve_record_matches_json_dumps():
+    rng = np.random.default_rng(64)
+
+    def literal(*shape):
+        parts = rng.standard_normal((*shape, 2)).tolist()
+        if len(shape) == 1:
+            return [{"re": re, "im": im} for re, im in parts]
+        return [[{"re": re, "im": im} for re, im in row] for row in parts]
+
+    cfg = {"dim": 64, "g1": literal(64, 64), "g2": literal(64, 64), "m": literal(64, 64),
+           "beta": 0.3, "input_state": literal(64)}
+    net, psi = parse_config(cfg)
+    record = build_run_record(cfg, solve_closed_form(net, psi), version="0.1.0",
+                              oracle={"iterations": 7, "relative_difference": 1e-13})
+    assert record_to_json(record) == reference(record)
 
 
 @pytest.mark.parametrize(
