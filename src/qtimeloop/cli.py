@@ -6,9 +6,9 @@ iteration), ``scenario`` runs one of the named worked cases and reports
 PASS/FAIL per identity, ``scan`` sweeps the feedback phase and writes a
 CSV lineshape plus an optional SVG plot.
 
-This module only parses arguments, renders results and maps errors to exit
-codes: the worked cases, their identities and tolerances live in
-:mod:`qtimeloop.scenarios`, the scan's input rules in ``phase_scan``.
+This module only parses arguments, writes results as they are rendered and
+maps errors to exit codes: the worked cases, their identities and tolerances
+live in :mod:`qtimeloop.scenarios`, the scan's input rules in ``phase_scan``.
 
 Warnings, such as an oracle loop radius of 1 or more, print as one
 ``warning:`` line on stderr, errors as one ``error:`` line.
@@ -31,7 +31,7 @@ from .config import load_config, parse_config
 from .linalg import SingularMatrixError, _max_relative_difference
 from .network import SingularDenominatorError, solve_closed_form
 from .oracle import DEFAULT_MAX_ITER, DEFAULT_TOL, NotConvergedError, solve_by_iteration
-from .records import build_run_record, record_to_csv, record_to_json
+from .records import build_run_record, csv_pieces, json_pieces
 from .scenarios import (
     SPECIAL_CASES,
     GrandfatherParams,
@@ -61,12 +61,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(pieces, path: str | None) -> None:
+    """Write text pieces to path, or to stdout, as they are made."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # a record streams in small pieces: flush them 64 KiB at a time, not 8 KiB
+        with open(path, "w", buffering=1 << 16, encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
 
 
 def cmd_solve(args) -> int:
@@ -86,11 +88,8 @@ def cmd_solve(args) -> int:
     if not args.no_timestamp:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     record = build_run_record(cfg, solution, version=__version__, timestamp=timestamp, oracle=oracle)
-    if args.format == "json":
-        text = record_to_json(record)
-    else:
-        text = record_to_csv(record)
-    _write_output(text, args.out)
+    pieces = json_pieces if args.format == "json" else csv_pieces
+    _write_output(pieces(record), args.out)
     return EXIT_OK
 
 
@@ -131,24 +130,14 @@ def cmd_scenario(args) -> int:
     if args.out:
         record = {"tool": "qtimeloop", "version": __version__, "scenario": args.name,
                   **echoed, **fields, "passed": passed}
-        _write_output(record_to_json(record), args.out)
+        _write_output(json_pieces(record), args.out)
     return EXIT_OK if passed else EXIT_CONFIG
 
 
 def cmd_scan(args) -> int:
     params = GrandfatherParams(beta=args.beta, theta=args.theta)
     result = phase_scan(params, args.phi_min, args.phi_max, args.points)
-
-    lines = ["phi,transmitted,analytic,abs_error"]
-    for phi, transmitted in result.points:
-        analytic = grandfather_transmission(args.beta, phi)
-        lines.append(f"{phi!r},{transmitted!r},{analytic!r},{abs(transmitted - analytic)!r}")
-    numeric = result.fwhm_numeric
-    lines.append(f"# fwhm_numeric = {'none' if numeric is None else repr(numeric)}")
-    lines.append(f"# fwhm_predicted = {result.fwhm_predicted!r}")
-    if numeric is not None and abs(numeric / result.fwhm_predicted - 1.0) > WIDTH_REGIME_TOL:
-        lines.append("# width formula out of small-beta regime")
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(_scan_lines(result, args.beta), args.out)
 
     if args.svg:
         xs, ys = zip(*result.points)
@@ -159,8 +148,21 @@ def cmd_scan(args) -> int:
             y_label="transmitted probability",
             title=f"beta={args.beta:g} theta={args.theta:g}",
         )
-        _write_output(svg, args.svg)
+        _write_output((svg,), args.svg)
     return EXIT_OK
+
+
+def _scan_lines(result, beta: float):
+    """The scan CSV, row by row, then its footer."""
+    yield "phi,transmitted,analytic,abs_error\n"
+    for phi, transmitted in result.points:
+        analytic = grandfather_transmission(beta, phi)
+        yield f"{phi!r},{transmitted!r},{analytic!r},{abs(transmitted - analytic)!r}\n"
+    numeric = result.fwhm_numeric
+    yield f"# fwhm_numeric = {'none' if numeric is None else repr(numeric)}\n"
+    yield f"# fwhm_predicted = {result.fwhm_predicted!r}\n"
+    if numeric is not None and abs(numeric / result.fwhm_predicted - 1.0) > WIDTH_REGIME_TOL:
+        yield "# width formula out of small-beta regime\n"
 
 
 @functools.cache

@@ -2,12 +2,12 @@
 
 Complex numbers serialize as {"re": ..., "im": ...}; floats go through
 Python's shortest round-trip repr, so a record survives a JSON round trip
-bit for bit. ``record_to_json`` writes the bytes of
-``json.dumps(record, indent=2)`` plus a newline, without the pure-Python
-encoder that ``indent`` selects: one string per container, joined once. A
-list of finite {re, im} float entries, the bulk of a record, is checked and
-formatted in C-level passes, one ``%`` template per entry; any other list,
-and the TypeError json raises, goes item by item.
+bit for bit. ``json_pieces`` yields ``json.dumps(record, indent=2)`` plus a
+newline in pieces, one per dict key and matrix row, for the CLI to write as
+they are made; ``record_to_json`` joins them. Neither uses json's pure-Python
+``indent`` encoder: a list of finite {re, im} float entries, the bulk of a
+record, is checked and formatted in C-level passes, one ``%`` template per
+entry; any other list, and the TypeError json raises, goes item by item.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ from .network import NetworkSolution, transmitted_probability
 def vector_to_json(v) -> list[dict]:
     # tolist() yields Python complex, so the parts render through float's repr
     return [{"re": z.real, "im": z.imag} for z in np.asarray(v, dtype=complex).tolist()]
-
-
-def solution_to_json(sol: NetworkSolution) -> dict:
-    return {
-        "psi_in": vector_to_json(sol.psi_in),
-        "psi1": vector_to_json(sol.psi1),
-        "psi2": vector_to_json(sol.psi2),
-        "psi4": vector_to_json(sol.psi4),
-        "psi1_prime": vector_to_json(sol.psi1p),
-        "psi2_prime": vector_to_json(sol.psi2p),
-        "psi3_prime": vector_to_json(sol.psi3p),
-        "psi4_prime": vector_to_json(sol.psi4p),
-    }
 
 
 def build_run_record(
@@ -55,7 +42,9 @@ def build_run_record(
     if timestamp is not None:
         record["timestamp"] = timestamp
     record["config"] = config_echo
-    record["solution"] = solution_to_json(sol)
+    # the record's psi1_prime is the field psi1p, and so on
+    record["solution"] = {key: vector_to_json(getattr(sol, key.replace("_prime", "p"))) for key in (
+        "psi_in", "psi1", "psi2", "psi4", "psi1_prime", "psi2_prime", "psi3_prime", "psi4_prime")}
     record["transmitted_probability"] = transmitted_probability(sol)
     record["conservation_residual_t1"] = sol.conservation_residual_t1
     record["conservation_residual_t2"] = sol.conservation_residual_t2
@@ -65,26 +54,19 @@ def build_run_record(
     return record
 
 
-def record_to_csv(record: dict) -> str:
-    """Flat long-form CSV of a run record (the config echo stays JSON-only)."""
-    lines = ["quantity,component,re,im"]
+def csv_pieces(record: dict):
+    """Flat long-form CSV of a run record, a piece per vector (the config echo stays JSON-only)."""
+    yield "quantity,component,re,im\n"
     for name, vec in record["solution"].items():
-        for idx, entry in enumerate(vec):
-            lines.append(f"{name},{idx},{entry['re']!r},{entry['im']!r}")
-    for key in (
-        "transmitted_probability",
-        "conservation_residual_t1",
-        "conservation_residual_t2",
-        "denominator_condition",
-    ):
+        yield "".join(f"{name},{i},{e['re']!r},{e['im']!r}\n" for i, e in enumerate(vec))
+    for key in ("transmitted_probability", "conservation_residual_t1",
+                "conservation_residual_t2", "denominator_condition"):
         value = record[key]
-        rendered = "" if value is None else repr(float(value))
-        lines.append(f"{key},,{rendered},")
+        yield f"{key},,{'' if value is None else repr(float(value))},\n"
     oracle = record.get("oracle")
     if oracle is not None:
-        lines.append(f"oracle_iterations,,{oracle['iterations']},")
-        lines.append(f"oracle_relative_difference,,{oracle['relative_difference']!r},")
-    return "\n".join(lines) + "\n"
+        yield f"oracle_iterations,,{oracle['iterations']},\n"
+        yield f"oracle_relative_difference,,{oracle['relative_difference']!r},\n"
 
 
 def record_to_json(record) -> str:
@@ -93,7 +75,38 @@ def record_to_json(record) -> str:
     Dict keys must be str, as in every record; any other key, like any value
     json cannot encode, raises TypeError.
     """
-    return _to_json(record, "\n") + "\n"
+    return "".join(json_pieces(record))
+
+
+def json_pieces(value, newline: str = "\n", end: str = "\n"):
+    """``record_to_json(value)`` in pieces, to write as they are made.
+
+    A dict opens into its keys and a list of lists (a matrix) into its rows;
+    any other value, a whole {re, im} vector or row too, is one piece.
+    """
+    if not _opens(value):
+        yield _to_json(value, newline) + end
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", [(f"{_quote(key)}: ", item) for key, item in value.items()]
+    else:
+        brackets, items = "[]", [("", row) for row in value]
+    for i, (key, item) in enumerate(items):
+        head = f"{',' if i else brackets[0]}{inner}{key}"
+        if _opens(item):
+            yield head
+            yield from json_pieces(item, inner, "")
+        else:
+            yield head + _to_json(item, inner)
+    yield newline + brackets[1] + end
+
+
+def _opens(value) -> bool:
+    """Whether ``json_pieces`` writes value by its members: a non-empty dict or matrix."""
+    if isinstance(value, dict):
+        return bool(value)
+    return isinstance(value, (list, tuple)) and bool(value) and isinstance(value[0], (list, tuple))
 
 
 # float repr -> the JSON token json.dumps writes for it

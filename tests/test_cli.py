@@ -2,12 +2,17 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qtimeloop import __version__
 from qtimeloop.cli import main
+from qtimeloop.config import load_config, parse_config
 from qtimeloop.linalg import random_unitary
+from qtimeloop.network import solve_closed_form
+from qtimeloop.records import build_run_record, csv_pieces, record_to_json
 
 
 def json_to_vector(items):
@@ -367,6 +372,72 @@ def test_scan_deterministic_bytes(tmp_path):
                      "--out", str(out), "--svg", str(svg)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert svg_a.read_bytes() == svg_b.read_bytes()
+
+
+# ---------------------------------------------------------------- streamed output
+
+def write_d64_literal_config(tmp_path):
+    rng = np.random.default_rng(64)
+
+    def literal(*shape):
+        parts = rng.standard_normal((*shape, 2)).tolist()
+        if len(shape) == 1:
+            return [{"re": re, "im": im} for re, im in parts]
+        return [[{"re": re, "im": im} for re, im in row] for row in parts]
+
+    return write_config(tmp_path, "d64.json", dim=64, g1=literal(64, 64), g2=literal(64, 64),
+                        m=literal(64, 64), beta=0.3, input_state=literal(64))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("dim", [64, 1])
+def test_solve_writes_the_rendered_record_to_stdout_and_out(dim, fmt, tmp_path, capsysbinary):
+    if dim == 64:
+        cfg = write_d64_literal_config(tmp_path)
+    else:
+        cfg = write_config(tmp_path, g1="random-unitary:3", g2="random-unitary:4",
+                           m="phase:0.7", beta=0.4)
+    raw = load_config(cfg)
+    record = build_run_record(raw, solve_closed_form(*parse_config(raw)), version=__version__)
+    if fmt == "json":
+        expected = record_to_json(record).encode()
+        assert expected == (json.dumps(record, indent=2) + "\n").encode()
+    else:
+        expected = "".join(csv_pieces(record)).encode()
+    out = tmp_path / f"record.{fmt}"
+    argv = ["solve", str(cfg), "--no-timestamp", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert out.read_bytes() == expected
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_scan_writes_the_same_csv_to_stdout_and_out(tmp_path, capsysbinary):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--beta", "0.3", "--theta", "0.7", "--points", "4001"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_solve_never_holds_the_record_text(tmp_path):
+    """At d=64 the config echo is most of a 1.2 MB record: writing it piece by
+    piece keeps the traced peak of a solve near that of reading the config."""
+    cfg = write_d64_literal_config(tmp_path)
+    argv = ["solve", str(cfg), "--no-timestamp", "--out", str(tmp_path / "record.json")]
+    assert main(argv) == 0  # first-call costs out of the way
+
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    load_peak = min(traced_peak(lambda: load_config(cfg)) for _ in range(2))
+    solve_peak = min(traced_peak(lambda: main(argv)) for _ in range(2))
+    assert solve_peak <= 1.25 * load_peak
 
 
 # ---------------------------------------------------------------- entry point

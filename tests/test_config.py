@@ -7,7 +7,7 @@ import pytest
 
 from qtimeloop.config import ConfigError, load_config, parse_config
 from qtimeloop.network import solve_closed_form
-from qtimeloop.records import build_run_record, record_to_csv, vector_to_json
+from qtimeloop.records import build_run_record, csv_pieces, vector_to_json
 
 
 def json_to_vector(items):
@@ -291,7 +291,7 @@ def test_record_csv_layout():
                       input_state="basis:0")
     net, psi = parse_config(cfg)
     record = build_run_record(cfg, solve_closed_form(net, psi), version="0.1.0")
-    text = record_to_csv(record)
+    text = "".join(csv_pieces(record))
     lines = text.strip().split("\n")
     assert lines[0] == "quantity,component,re,im"
     names = {line.split(",")[0] for line in lines[1:]}
