@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -55,6 +56,12 @@ WIDTH_REGIME_TOL = 0.05
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus before any float literal starts a value: argparse alone reads
+        # -1 and -.5 so, but takes -1e-3 for an option
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+
     # usage mistakes are config errors: exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -6,12 +6,12 @@ as presets ("zero", "identity", "phase:<radians>", "random-unitary:<seed>")
 or as explicit matrices with {re, im} entries, so every worked case is
 expressible without writing matrices by hand.
 
-A literal becomes one array in a few C-level passes over its cells: a test
-of their keys and part types, then one fill of the real and imaginary parts,
-which keeps ``-0.0`` and converts an int exactly as ``float``. A literal that
-fails is walked cell by cell by ``_parse_entry``, whose error names the first
-bad cell (``g1[0][1]``). Every entry must be finite: json.load accepts
-``NaN`` and ``Infinity``, and integers of any size.
+json.load reads the file, with ``NaN``, ``Infinity`` and integers of any
+size; every check after it is the package's own. A literal becomes one array
+in a few C-level passes: a test of its keys and part types, one fill of the
+parts (which keeps ``-0.0`` and converts an int exactly as ``float``), and
+one finite test. A literal that fails one is walked cell by cell by
+``_parse_entry``, whose error names the first bad cell (``g1[0][1]``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from contextlib import suppress
 from itertools import chain, repeat
 
 import numpy as np
@@ -99,18 +100,16 @@ def _parse_literal(cells: list, name: str, shape: tuple) -> np.ndarray:
         kinds = {*map(type, res), *map(type, ims)}  # bool has no subclasses
         if bool not in kinds and all(map(issubclass, kinds, repeat((int, float)))):
             out = np.empty(len(cells), dtype=complex)
-            try:
+            with suppress(OverflowError):  # an integer beyond the largest double falls to the walk
                 out.real, out.imag = res, ims
-            except OverflowError:  # an integer beyond the largest double
-                pass
-            else:
-                return _finite(out.reshape(shape), name)
+                if np.isfinite(out).all():
+                    return out.reshape(shape)
     for k, cell in enumerate(cells):
         _parse_entry(cell, name, *np.unravel_index(k, shape))
     raise AssertionError(f"{name}: a literal failed the bulk tests but no entry is bad")
 
 
-def _parse_entry(obj, name: str, *index: int) -> complex:
+def _parse_entry(obj, name: str, *index: int) -> None:
     """One literal entry, checked alone to name the first bad cell of a literal.
 
     An {re, im} object, the common form, is tested first; it cannot also be
@@ -133,24 +132,14 @@ def _parse_entry(obj, name: str, *index: int) -> complex:
         re, im = obj, 0.0
     else:
         raise ConfigError(f"{_where(name, index)}: expected a number or an {{re, im}} object")
-    try:
-        return complex(float(re), float(im))
-    except OverflowError:  # an integer beyond the largest double
-        raise ConfigError(f"{_where(name, index)}: entries must be finite") from None
+    with suppress(OverflowError):  # an integer beyond the largest double is not finite
+        if cmath.isfinite(complex(float(re), float(im))):
+            return
+    raise ConfigError(f"{_where(name, index)}: entries must be finite")
 
 
 def _where(name: str, index) -> str:
     return name + "".join(f"[{k}]" for k in index)
-
-
-def _finite(values: np.ndarray, name: str) -> np.ndarray:
-    """Pass a parsed literal through, or name its first NaN/Infinity entry
-    (json.load accepts both tokens)."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = np.argwhere(~finite)[0].tolist()
-        raise ConfigError(f"{_where(name, first)}: entries must be finite")
-    return values
 
 
 def _parse_operator(spec, dim: int, name: str) -> np.ndarray:

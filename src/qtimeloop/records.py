@@ -4,14 +4,17 @@ Complex numbers serialize as {"re": ..., "im": ...}; floats go through
 Python's shortest round-trip repr, so a record survives a JSON round trip
 bit for bit. ``json_pieces`` yields ``json.dumps(record, indent=2)`` plus a
 newline in pieces, one per dict key and matrix row, for the CLI to write as
-they are made; ``record_to_json`` joins them. Neither uses json's pure-Python
-``indent`` encoder: a list of finite {re, im} float entries, the bulk of a
-record, is checked and formatted in C-level passes, one ``%`` template per
-entry; any other list, and the TypeError json raises, goes item by item.
+they are made; ``record_to_json`` joins them. Two renderers are the
+package's own: a list of finite {re, im} float entries, the bulk of a record,
+takes one ``%`` template per entry (json's ``indent`` encoder is pure
+Python), and a finite float its ``float.__repr__``. Every other value, its
+tokens and its TypeError, is ``json.dumps``'s.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -72,8 +75,8 @@ def csv_pieces(record: dict):
 def record_to_json(record) -> str:
     """``json.dumps(record, indent=2) + "\\n"``, byte for byte.
 
-    Dict keys must be str, as in every record; any other key, like any value
-    json cannot encode, raises TypeError.
+    Only a dict ``json_pieces`` opens, the record and each non-empty dict not
+    in a list, takes nothing but str keys; elsewhere json's key rule holds.
     """
     return "".join(json_pieces(record))
 
@@ -109,49 +112,22 @@ def _opens(value) -> bool:
     return isinstance(value, (list, tuple)) and bool(value) and isinstance(value[0], (list, tuple))
 
 
-# float repr -> the JSON token json.dumps writes for it
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_RE_IM = ["re", "im"]
-
-
 def _to_json(value, newline: str) -> str:
-    """Render one value whose closing bracket, if any, follows ``newline``.
-
-    The kinds json tells apart are disjoint but for bool, an int, so the
-    tests run most frequent first, with True and False before int.
-    """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [f"{_quote(key)}: {_to_json(item, inner)}" for key, item in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        # the bulk of a record: {re, im} float entries, formatted one by one and
-        # joined once (one % over all parts grows its buffer, and the heap with it)
-        if set(map(type, value)) == {dict} and list(chain.from_iterable(value)) == _RE_IM * len(value):
-            parts = tuple(chain.from_iterable(map(dict.values, value)))
-            if set(map(type, parts)) == {float}:
-                entry = f'{{{inner}  "re": %r,{inner}  "im": %r{inner}}}'
-                body = (',' + inner).join(map(entry.__mod__, zip(parts[::2], parts[1::2])))
-                if "n" not in body:  # only a nan or inf part writes an n
-                    return f"[{inner}{body}{newline}]"
-        items = [_to_json(item, inner) for item in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    """Render one value whose closing bracket, if any, follows ``newline``."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)  # json's token, without its per-call encoder setup
+    # the bulk of a record: {re, im} float entries, formatted one by one and
+    # joined once (one % over all parts grows its buffer, and the heap with it)
+    if isinstance(value, list) and set(map(type, value)) == {dict} and (
+            list(chain.from_iterable(value)) == ["re", "im"] * len(value)):
+        parts = tuple(chain.from_iterable(map(dict.values, value)))
+        if set(map(type, parts)) == {float}:
+            inner = newline + "  "
+            entry = f'{{{inner}  "re": %r,{inner}  "im": %r{inner}}}'
+            body = (',' + inner).join(map(entry.__mod__, zip(parts[::2], parts[1::2])))
+            if "n" not in body:  # only a nan or inf part writes an n
+                return f"[{inner}{body}{newline}]"
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    # json escapes a newline inside a string, so every one it writes is structural
+    return json.dumps(value, indent=2).replace("\n", newline)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtimeloop.cli import main
 from qtimeloop.linalg import SplitterParams, invert, norm_sq, random_unitary, spectral_radius
@@ -241,3 +243,16 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()  # swallow CLI chatter so the verdict line stands alone
     failures = sum(1 for ok in (identical, exit_1, exit_2, exit_3) if not ok)
     report(9, "byte-identical reruns and exit codes 1/2/3", float(failures), 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+       dim=st.sampled_from(DIMS), beta=st.floats(0.05, 0.95))
+def test_criterion_10_the_whole_network_is_unitary(seeds, dim, beta):
+    # the paper's resolution: one output for each input, with probability
+    # conserved; U is built column by column from basis inputs
+    g1, g2, m = (random_unitary(dim, seed) for seed in seeds)
+    net = FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(beta))
+    u = np.column_stack([solve_closed_form(net, e).psi3p for e in np.eye(dim)])
+    worst = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    assert worst <= 1e-12, f"criterion 10: |U^H U - I|_max = {worst:.3e} exceeds 1e-12"

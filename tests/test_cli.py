@@ -223,6 +223,18 @@ def test_help_and_usage_errors_exit_the_same_on_every_call(argv, code, capsys):
         assert ("usage:" in captured.out + captured.err) == (argv != ["--version"])
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["scan", "--beta", "0.3", "--points", "5"], "--theta", "-1e-3"),
+    (["scan", "--beta", "0.3", "--points", "5"], "--phi-min", "-1e-139"),
+    (["scenario", "grandfather"], "--phi", "-2e-3"),
+])
+def test_negative_option_values_with_an_exponent_read_as_values(argv, option, value, capsys):
+    assert main([*argv, f"{option}={value}"]) == 0
+    expected = capsys.readouterr().out
+    assert main([*argv, option, value]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = write_config(tmp_path, g1="random-unitary:3", dim=2, g2="random-unitary:4",
                        m="random-unitary:5", input_state="basis:0")

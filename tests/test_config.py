@@ -184,6 +184,13 @@ def test_non_finite_literal_entry_is_a_config_error(overrides, where):
     assert str(info.value) == f"{where}: entries must be finite"
 
 
+@pytest.mark.parametrize("later", [10**400, True, "x"], ids=["huge-int", "bool", "string"])
+def test_a_non_finite_entry_is_named_before_a_later_bad_cell(later):
+    with pytest.raises(ConfigError) as info:
+        parse_config(base_config(input_state=[math.nan, later]))
+    assert str(info.value) == "input_state[0]: entries must be finite"
+
+
 def test_literal_entries_keep_their_numeric_types():
     cfg = base_config(
         g1=[[np.float64(0.5), {"re": 1, "im": np.float64(-0.0)}], [-0.0, {"im": 2}]],

@@ -58,6 +58,8 @@ def test_record_to_json_matches_json_dumps(value):
         (1, (2.5, "x")),
         # numpy scalars: float64 is a float, int64 is not an int
         [np.float64(0.1), np.float64("inf")],
+        # a dict no json_pieces call opens takes json's key rule (True is the key 1 again)
+        [{1: "a", 2.5: None, True: 0}],
     ],
     ids=repr,
 )
