@@ -8,8 +8,9 @@ lives at very small d (the worked cases are scalar).
 :func:`invert` needs numpy only. At d=1 it skips array routines, whose
 per-call cost dominates there, and takes 1/z in Python floats. For the
 same reason the finite check of a 1x1 operator or a length-1 state and
-:func:`norm_sq` of a single entry run on Python scalars, bit for bit
-what the array routines give.
+:func:`norm_sq` of a single entry run on Python scalars. The check and
+1/z are bit for bit what the array routines give; a single entry's |z|^2
+is re*re + im*im, which is np.vdot's wherever it is finite.
 """
 
 from __future__ import annotations
@@ -84,13 +85,8 @@ def norm_sq(v) -> float:
 
 
 def _abs_sq(z: complex) -> float:
-    """|z|^2 as re*re + im*im, bit for bit np.vdot's where finite. Past the float
-    range the result is np.vdot's own inf or NaN, which depends on the BLAS kernel."""
-    sq = z.real * z.real + z.imag * z.imag
-    if math.isfinite(sq):
-        return sq
-    arr = np.array([z])
-    return float(np.vdot(arr, arr).real)
+    """|z|^2 as re*re + im*im: bit for bit np.vdot's where finite, inf past the float range."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _max_abs(v) -> float:

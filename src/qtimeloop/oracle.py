@@ -9,8 +9,7 @@ the closed-form answer without ever forming the denominator inverse.
 
 At d=1 the recurrence runs on Python ``complex`` scalars: the same multiply
 and add as the 1x1 matrix loop, without numpy's per-call dispatch on every
-traversal. Python's abs and numpy's |z| may differ in the last bits, so steps
-near a stopping test are sized by numpy; the results agree bit for bit.
+traversal. Its steps are sized by Python's abs.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from .network import FeedbackNetwork, NetworkSolution, _assemble_solution
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
-# d=1 steps this close (relative) to tol are measured again the numpy way
-_AGREE = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,22 +52,18 @@ def loop_map(net: FeedbackNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iterate_scalar(t, drive, tol, max_iter):
-    """d=1 recurrence x <- t x + c, bit for bit what :func:`_iterate_matrix` returns."""
+    """d=1 recurrence x <- t x + c: :func:`_iterate_matrix`'s iterates, stopped on Python's abs."""
     t, c = complex(t[0, 0]), complex(drive[0])
-    x = step = 0j
-    near_tol = tol * _AGREE
+    x, inf = 0j, math.inf
     for iterations in range(1, max_iter + 1):
         new = t * x + c
-        step, x = new - x, new
         try:
-            if near_tol < abs(step) < 1e308:
-                continue
+            update = abs(new - x)
         except OverflowError:  # finite parts, modulus past the float range
-            pass
-        update = float(np.abs(np.array([step]))[0])
-        if update <= tol or not math.isfinite(update):
+            update = inf
+        x = new
+        if not tol < update < inf:  # also true for a NaN update
             break
-    update = float(np.abs(np.array([step]))[0])
     return np.array([x]), iterations, update, update <= tol
 
 

@@ -18,14 +18,7 @@ import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-import numpy as np
-
 from .network import NetworkSolution, transmitted_probability
-
-
-def vector_to_json(v) -> list[dict]:
-    # tolist() yields Python complex, so the parts render through float's repr
-    return [{"re": z.real, "im": z.imag} for z in np.asarray(v, dtype=complex).tolist()]
 
 
 def build_run_record(
@@ -45,8 +38,11 @@ def build_run_record(
     if timestamp is not None:
         record["timestamp"] = timestamp
     record["config"] = config_echo
-    # the record's psi1_prime is the field psi1p, and so on
-    record["solution"] = {key: vector_to_json(getattr(sol, key.replace("_prime", "p"))) for key in (
+    # the record's psi1_prime is the field psi1p, and so on; tolist() yields
+    # Python complex, so the parts render through float's repr
+    record["solution"] = {key: [
+        {"re": z.real, "im": z.imag} for z in getattr(sol, key.replace("_prime", "p")).tolist()
+    ] for key in (
         "psi_in", "psi1", "psi2", "psi4", "psi1_prime", "psi2_prime", "psi3_prime", "psi4_prime")}
     record["transmitted_probability"] = transmitted_probability(sol)
     record["conservation_residual_t1"] = sol.conservation_residual_t1

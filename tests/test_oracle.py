@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -232,30 +233,61 @@ D1_MAPS = {
 }
 
 
+def python_abs(z):
+    try:
+        return abs(z)
+    except OverflowError:  # finite parts, modulus past the float range
+        return math.inf
+
+
 @pytest.mark.parametrize("case", sorted(D1_MAPS))
 def test_scalar_recurrence_is_bit_equal_to_matrix_loop(case):
     t, drive, max_iter = D1_MAPS[case]
     with np.errstate(over="ignore", invalid="ignore"):
         fast = _iterate_scalar(t, drive, 1e-12, max_iter)
         reference = _iterate_matrix(t, drive, 1e-12, max_iter)
+        n = reference[1]
+        previous = _iterate_matrix(t, drive, 0.0, n - 1)[0] if n > 1 else np.zeros(1, complex)
     assert fast[0].dtype == reference[0].dtype
     assert fast[0].tobytes() == reference[0].tobytes()
-    assert fast[1] == reference[1]
-    assert np.float64(fast[2]).tobytes() == np.float64(reference[2]).tobytes()
+    assert fast[1] == n
+    # the update is Python's |x_n - x_(n-1)|, which may differ from numpy's in the last bit
+    expected = python_abs(complex(reference[0][0]) - complex(previous[0]))
+    assert struct.pack("<d", fast[2]) == struct.pack("<d", expected)
     assert fast[3] == reference[3]
 
 
-def test_scalar_recurrence_stops_where_matrix_loop_does_for_tol_on_an_update():
-    # Python's abs and numpy's |z| disagree in the last bit on many of these
-    # steps; a tol equal to (or one ulp around) an update must not tell
+def test_scalar_recurrence_stops_at_the_first_step_within_tol():
+    # a tol equal to a reported update, or one ulp either side of it
     t, drive, _ = D1_MAPS["grandfather-beta0.1"]
+    t_scalar, c = complex(t[0, 0]), complex(drive[0])
+    steps, x = [], 0j
+    for _ in range(100):
+        new = t_scalar * x + c
+        steps.append(abs(new - x))
+        x = new
     for k in range(1, 40):
-        edge = _iterate_matrix(t, drive, 0.0, k)[2]
-        for tol in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-            fast = _iterate_scalar(t, drive, float(tol), 100)
-            reference = _iterate_matrix(t, drive, float(tol), 100)
-            assert fast[0].tobytes() == reference[0].tobytes()
-            assert fast[1:] == reference[1:]
+        edge = _iterate_scalar(t, drive, 0.0, k)[2]
+        for tol in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+            psi4, iterations, update, converged = _iterate_scalar(t, drive, tol, 100)
+            first = next(n for n, step in enumerate(steps, 1) if step <= tol)
+            assert (iterations, update, converged) == (first, steps[first - 1], True)
+            assert psi4.tobytes() == _iterate_matrix(t, drive, -1.0, first)[0].tobytes()
+
+
+# The d=1 oracle's traversal counts on the grandfather loop; theta cancels out
+# of them. The change that replaces the one-traversal loop (ROADMAP item 5)
+# re-pins these, with old -> new counts in CHANGES.md.
+@pytest.mark.parametrize("phase, beta, traversals", [
+    (0.0, 0.3, 281), (0.0, 0.1, 2_521), (0.0, 0.03, 26_796), (0.0, 0.01, 230_229),
+    (1.1, 0.03, 26_795), (1.1, 0.01, 230_282),
+    (-2.0, 0.03, 26_793), (-2.0, 0.01, 230_259),
+])
+def test_grandfather_traversal_counts(phase, beta, traversals):
+    for theta in (0.0, 0.7, -2.9, 1.3):
+        net = build_grandfather(GrandfatherParams(beta=beta, theta=theta))
+        _, report = solve_by_iteration(net, [cmath.exp(1j * phase)])
+        assert (report.iterations_used, report.converged) == (traversals, True)
 
 
 def test_iteration_rejects_bad_budget():
