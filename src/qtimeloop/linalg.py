@@ -197,6 +197,10 @@ def couple(params: SplitterParams, x, y) -> tuple[np.ndarray, np.ndarray]:
     fed into it changes.
     """
     x = as_state(x)
-    y = as_state(y, x.shape[0])
+    return _couple(params, x, as_state(y, x.shape[0]))
+
+
+def _couple(params: SplitterParams, x, y):
+    """:func:`couple` without its input checks, on arrays or Python complex alike."""
     a, b = params.alpha, params.beta
     return a * x - 1j * b * y, a * y - 1j * b * x

@@ -4,18 +4,20 @@ A network couples the input amplitude to a loop that carries part of the
 late-time output backwards through the propagator ``m``; ``g1`` and ``g2``
 are the two competing forward channels between the couplers. The closed
 form inverts the loop denominator (1 + beta^2 M G1 - alpha^2 M G2) once
-and reads every internal amplitude off it. At d=1 it runs on Python
-``complex`` scalars, bit-equal to the 1x1 matrix path without numpy's
-per-call cost; the oracle's d=1 solutions share that scalar assembly.
-The d=1 operator and state checks and squared norms around a solve run on
-Python scalars too (see :mod:`qtimeloop.linalg`).
+and reads every internal amplitude off it. Its formulas are written once
+and run on one of two arithmetics, picked by the dimension alone: numpy
+arrays at d >= 2 and, at d=1, Python ``complex`` scalars, bit-equal to the
+1x1 matrices without numpy's per-call cost. The oracle's solutions share
+the same assembly.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .linalg import (
     SingularMatrixError,
     SplitterParams,
     _abs_sq,
+    _couple,
     _invert_scalar,
     _max_abs,
     _require_finite,
@@ -83,30 +86,35 @@ class NetworkSolution:
     conservation_residual_t2: float
 
 
+# The two arithmetics the closed form runs on. d=1 is bit for bit the 1x1 matrices without
+# numpy's per-call cost: its product [x] @ [y] adds x * y to a complex zero, because numpy's
+# sum starts at +0.0 and so turns a -0.0 into +0.0. d >= 2 stores a copy of psi, the caller's.
+_SCALAR = SimpleNamespace(
+    native=np.ndarray.item, eye=lambda dim: 1, matmul=lambda x, y: 0j + x * y,
+    invert=lambda z: (_invert_scalar(z), 1.0), norm_sq=_abs_sq, finite=cmath.isfinite,
+    stored=lambda vectors: np.array(vectors).reshape(8, 1),
+)
+_MATRIX = SimpleNamespace(
+    native=lambda a: a, eye=lambda dim: np.eye(dim, dtype=complex), matmul=operator.matmul,
+    invert=invert, norm_sq=norm_sq, finite=lambda v: np.isfinite(v).all(),
+    stored=lambda vectors: (vectors[0].copy(), *vectors[1:]),
+)
+
+
+def _arithmetic(net: FeedbackNetwork) -> SimpleNamespace:
+    return _SCALAR if net.dim == 1 else _MATRIX
+
+
 def _assemble_solution(net, psi, psi1, psi2, psi4, denom_condition):
-    """Derive the late-time amplitudes and conservation diagnostics."""
-    if net.dim == 1:
-        return _assemble_scalar(net, *(v.item() for v in (psi, psi1, psi2, psi4)), denom_condition)
-    psi1p = net.g1 @ psi1
-    psi2p = net.g2 @ psi2
-    psi3p, psi4p = couple(net.splitter, psi1p, psi2p)
-    res_t1 = abs(norm_sq(psi1) + norm_sq(psi2) - norm_sq(psi) - norm_sq(psi4))
-    res_t2 = abs(norm_sq(psi3p) + norm_sq(psi4p) - norm_sq(psi1p) - norm_sq(psi2p))
-    vectors = (psi.copy(), psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
-    return NetworkSolution(*vectors, denom_condition, res_t1, res_t2)
-
-
-def _assemble_scalar(net, psi, psi1, psi2, psi4, denom_condition):
-    """:func:`_assemble_solution` at d=1, on Python complex scalars. A 1x1 product
-    [x] @ [y] is 0j + x * y: numpy's sum starts at +0.0, turning a -0.0 into +0.0."""
-    a, b = net.splitter.alpha, net.splitter.beta
-    psi1p, psi2p = 0j + net.g1.item() * psi1, 0j + net.g2.item() * psi2
-    _require_finite(cmath.isfinite(psi1p) and cmath.isfinite(psi2p), "state")  # as couple does
-    psi3p, psi4p = a * psi1p - 1j * b * psi2p, a * psi2p - 1j * b * psi1p
+    """Derive the late-time amplitudes and conservation diagnostics, in :func:`_arithmetic`."""
+    ar = _arithmetic(net)
+    psi1p, psi2p = ar.matmul(ar.native(net.g1), psi1), ar.matmul(ar.native(net.g2), psi2)
+    _require_finite(ar.finite(psi1p) and ar.finite(psi2p), "state")  # as couple checks
+    psi3p, psi4p = _couple(net.splitter, psi1p, psi2p)
     vectors = (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
-    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = map(_abs_sq, vectors)
+    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = map(ar.norm_sq, vectors)
     residuals = abs(n1 + n2 - n_in - n4), abs(n3p + n4p - n1p - n2p)
-    return NetworkSolution(*np.array(vectors).reshape(8, 1), denom_condition, *residuals)
+    return NetworkSolution(*ar.stored(vectors), denom_condition, *residuals)
 
 
 def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
@@ -118,31 +126,21 @@ def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
     psi4 = alpha M G2 psi2 - i beta M G1 psi1, which keeps a
     non-invertible ``m`` perfectly usable. Raises
     :class:`SingularDenominatorError` when D cannot be formed; that is a
-    physical resonance, not something to regularize away. At d=1 the same
-    expressions run on Python complex scalars, bit-equal to the 1x1 matrices.
+    physical resonance, not something to regularize away.
     """
-    psi = as_state(psi, net.dim)
+    ar = _arithmetic(net)
+    psi = ar.native(as_state(psi, net.dim))
     a, b = net.splitter.alpha, net.splitter.beta
+    eye, mul, m = ar.eye(net.dim), ar.matmul, ar.native(net.m)
+    mg1, mg2 = mul(m, ar.native(net.g1)), mul(m, ar.native(net.g2))
     try:
-        if net.dim == 1:
-            m, psi = net.m.item(), psi.item()
-            mg1, mg2 = 0j + m * net.g1.item(), 0j + m * net.g2.item()
-            d = _invert_scalar(1 + b * b * mg1 - a * a * mg2)
-            psi1 = a * (0j + d * (0j + (1 - mg2) * psi))
-            psi2 = -1j * b * (0j + d * (0j + (1 + mg1) * psi))
-            psi4 = a * (0j + mg2 * psi2) - 1j * b * (0j + mg1 * psi1)
-            return _assemble_scalar(net, psi, psi1, psi2, psi4, 1.0)
-        eye = np.eye(net.dim, dtype=complex)
-        mg1 = net.m @ net.g1
-        mg2 = net.m @ net.g2
-        d_op, condition = invert(eye + b * b * mg1 - a * a * mg2)
+        d_op, condition = ar.invert(eye + b * b * mg1 - a * a * mg2)
     except SingularMatrixError as exc:
-        raise SingularDenominatorError(
-            f"loop denominator is singular: {exc}", condition=exc.condition
-        ) from exc
-    psi1 = a * (d_op @ ((eye - mg2) @ psi))
-    psi2 = -1j * b * (d_op @ ((eye + mg1) @ psi))
-    psi4 = a * (mg2 @ psi2) - 1j * b * (mg1 @ psi1)
+        message = f"loop denominator is singular: {exc}"
+        raise SingularDenominatorError(message, condition=exc.condition) from exc
+    psi1 = a * mul(d_op, mul(eye - mg2, psi))
+    psi2 = -1j * b * mul(d_op, mul(eye + mg1, psi))
+    psi4 = a * mul(mg2, psi2) - 1j * b * mul(mg1, psi1)
     return _assemble_solution(net, psi, psi1, psi2, psi4, condition)
 
 

@@ -100,12 +100,8 @@ def grandfather_amplitude_ratios(p: GrandfatherParams) -> tuple[float, float, fl
 
 
 def _amplitude_ratios(sol: NetworkSolution) -> tuple[float, float, float]:
-    scale = math.sqrt(norm_sq(sol.psi_in))
-    return (
-        math.sqrt(norm_sq(sol.psi1)) / scale,
-        math.sqrt(norm_sq(sol.psi2)) / scale,
-        math.sqrt(norm_sq(sol.psi4)) / scale,
-    )
+    """(|psi1|, |psi2|, |psi4|) of a solve whose input is the unit [1]."""
+    return tuple(math.sqrt(norm_sq(v)) for v in (sol.psi1, sol.psi2, sol.psi4))
 
 
 def build_undo(g1, g2, splitter: SplitterParams) -> FeedbackNetwork:

@@ -7,13 +7,26 @@ half-maximum points. Each bound is as tight as today's closed form passes.
 The loop denominator forms alpha^2 as sqrt(1 - beta^2)^2 and, near
 resonance, subtracts it from 1, so the error grows like 1e-16 / beta^2: at
 beta = 1e-6 it is 1.8e-4, the one case marked xfail.
+
+The three exact limits and the undo construction are compared the same way:
+psi3' of a seeded instance at d = 1, 2, 4 and 16 against g1 psi (or -g2 psi)
+evaluated by mpmath at 50 digits from the same float matrices and state.
+d = 64 is left out of tier-1.
 """
 
 import numpy as np
 import pytest
 
-from qtimeloop.network import solve_closed_form, transmitted_probability
-from qtimeloop.scenarios import GrandfatherParams, build_grandfather, predicted_fwhm
+from qtimeloop.linalg import SplitterParams, random_unitary
+from qtimeloop.network import FeedbackNetwork, solve_closed_form, transmitted_probability
+from qtimeloop.scenarios import (
+    GrandfatherParams,
+    _random_instance,
+    _random_state,
+    build_grandfather,
+    build_undo,
+    predicted_fwhm,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -48,3 +61,51 @@ def test_grandfather_transmission_matches_the_50_digit_lineshape(beta, half_widt
 @pytest.mark.xfail(strict=True, reason="1 - alpha^2 cancels at small beta: off by 1.8e-4")
 def test_grandfather_peak_is_exact_at_tiny_beta():
     assert relative_error(1e-6, 0.0) <= 1e-12
+
+
+def reference_output(g, psi, sign: int):
+    """sign * g psi at 50 digits, from the exact values of the float entries."""
+    with mpmath.workdps(50):
+        return sign * (mpmath.matrix(g.tolist()) * mpmath.matrix(psi.tolist()))
+
+
+def max_relative_error(got, want) -> float:
+    with mpmath.workdps(50):
+        diff = max(abs(mpmath.mpc(z) - w) for z, w in zip(got.tolist(), want))
+        return float(diff / max(abs(w) for w in want))
+
+
+def exact_limit_error(name: str, dim: int, seed: int = 0) -> float:
+    """psi3' of :func:`qtimeloop.scenarios.special_case`'s instance against its exact limit."""
+    g1, g2, m, psi = _random_instance(seed, dim)
+    beta, g2, (g, sign) = {
+        "no-feedback": (0.0, g2, (g1, 1)),
+        "full-feedback": (1.0, g2, (g2, -1)),
+        "equal-paths": (0.6, -g1, (g1, 1)),
+    }[name]
+    sol = solve_closed_form(FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(beta)), psi)
+    return max_relative_error(sol.psi3p, reference_output(g, psi, sign))
+
+
+def undo_error(dim: int, seed: int = 0, beta: float = 0.1) -> float:
+    """psi3' of :func:`qtimeloop.scenarios.undo_case`'s instance against g1 psi."""
+    g1 = random_unitary(dim, seed)
+    net = build_undo(g1, random_unitary(dim, seed + 1), SplitterParams.from_beta(beta))
+    psi = _random_state(seed + 2, dim)
+    return max_relative_error(solve_closed_form(net, psi).psi3p, reference_output(g1, psi, 1))
+
+
+# largest relative error today over the four cases, under the OpenBLAS kernels SkylakeX,
+# Haswell and Sandybridge: 2.1e-16, 9.8e-16, 5.7e-16 and 2.6e-14 at d = 1, 2, 4 and 16
+EXACT_BOUNDS = {1: 3e-16, 2: 1e-15, 4: 6e-16, 16: 3e-14}
+
+
+@pytest.mark.parametrize("name", ["no-feedback", "full-feedback", "equal-paths"])
+@pytest.mark.parametrize("dim", sorted(EXACT_BOUNDS))
+def test_exact_limit_matches_the_50_digit_reference(name, dim):
+    assert exact_limit_error(name, dim) <= EXACT_BOUNDS[dim]
+
+
+@pytest.mark.parametrize("dim", sorted(EXACT_BOUNDS))
+def test_undo_matches_the_50_digit_reference(dim):
+    assert undo_error(dim) <= EXACT_BOUNDS[dim]
