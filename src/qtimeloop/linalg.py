@@ -111,7 +111,8 @@ def invert(a) -> tuple[np.ndarray, float]:
     """
     a = as_operator(a)
     if a.shape[0] == 1:
-        return np.array([[_invert_scalar(a.item())]]), 1.0
+        inverse, condition = _invert_scalar(a.item())
+        return np.array([[inverse]]), condition
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -123,8 +124,8 @@ def invert(a) -> tuple[np.ndarray, float]:
     return np.asfortranarray(inverse), condition
 
 
-def _invert_scalar(z: complex) -> complex:
-    """1/z for the 1 x 1 matrix [z], with :func:`invert`'s checks and ztrti2's rounding."""
+def _invert_scalar(z: complex) -> tuple[complex, float]:
+    """:func:`invert` of the 1 x 1 matrix [z], (1/z, 1.0), with ztrti2's rounding of 1/z."""
     ar, ai = z.real, z.imag
     _require_finite(math.isfinite(ar) and math.isfinite(ai), "operator")
     if math.hypot(ar, ai) < PIVOT_FLOOR:
@@ -132,7 +133,7 @@ def _invert_scalar(z: complex) -> complex:
     swap = abs(ai) > abs(ar)  # divide by the larger part, as ztrti2 does
     ratio = ar / ai if swap else ai / ar
     den = 1.0 / ((ai if swap else ar) * (1.0 + ratio * ratio))
-    return complex(ratio * den, -den) if swap else complex(den, -ratio * den)
+    return (complex(ratio * den, -den) if swap else complex(den, -ratio * den)), 1.0
 
 
 def spectral_radius(a) -> float:

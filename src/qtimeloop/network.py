@@ -4,11 +4,9 @@ A network couples the input amplitude to a loop that carries part of the
 late-time output backwards through the propagator ``m``; ``g1`` and ``g2``
 are the two competing forward channels between the couplers. The closed
 form inverts the loop denominator (1 + beta^2 M G1 - alpha^2 M G2) once
-and reads every internal amplitude off it. Its formulas are written once
-and run on one of two arithmetics, picked by the dimension alone: numpy
-arrays at d >= 2 and, at d=1, Python ``complex`` scalars, bit-equal to the
-1x1 matrices without numpy's per-call cost. The oracle's solutions share
-the same assembly.
+and reads every internal amplitude off it. Its formulas are written once and
+run on numpy arrays at d >= 2 and on Python ``complex`` at d=1, bit-equal to
+the 1x1 matrices without numpy's per-call cost. The oracle shares the assembly.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import cmath
 import operator
 import warnings
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,35 +83,41 @@ class NetworkSolution:
     conservation_residual_t2: float
 
 
-# The two arithmetics the closed form runs on. d=1 is bit for bit the 1x1 matrices without
-# numpy's per-call cost: its product [x] @ [y] adds x * y to a complex zero, because numpy's
-# sum starts at +0.0 and so turns a -0.0 into +0.0. d >= 2 stores a copy of psi, the caller's.
-_SCALAR = SimpleNamespace(
-    native=np.ndarray.item, eye=lambda dim: 1, matmul=lambda x, y: 0j + x * y,
-    invert=lambda z: (_invert_scalar(z), 1.0), norm_sq=_abs_sq, finite=cmath.isfinite,
-    stored=lambda vectors: np.array(vectors).reshape(8, 1),
-)
-_MATRIX = SimpleNamespace(
-    native=lambda a: a, eye=lambda dim: np.eye(dim, dtype=complex), matmul=operator.matmul,
-    invert=invert, norm_sq=norm_sq, finite=lambda v: np.isfinite(v).all(),
-    stored=lambda vectors: (vectors[0].copy(), *vectors[1:]),
-)
+def _scalar_product(x, y):
+    """[x] @ [y] on Python complex: numpy's sum starts at +0.0 and so turns a -0.0 into +0.0."""
+    return 0j + x * y
 
 
-def _arithmetic(net: FeedbackNetwork) -> SimpleNamespace:
-    return _SCALAR if net.dim == 1 else _MATRIX
+def _arithmetic(dim: int):
+    """The closed form's (to native, identity, product, inverse, squared norm, finite test)."""
+    if dim == 1:
+        return np.ndarray.item, 1, _scalar_product, _invert_scalar, _abs_sq, cmath.isfinite
+    # invert and norm_sq are looked up per call, so a rebinding of either applies here
+    return np.asarray, np.eye(dim, dtype=complex), operator.matmul, invert, norm_sq, _all_finite
+
+
+def _all_finite(v) -> bool:
+    return np.isfinite(v).all()
+
+
+def _assemble(net, arithmetic, g1, g2, psi, psi1, psi2, psi4, denom_condition):
+    """Derive the late-time amplitudes and conservation diagnostics in ``arithmetic``."""
+    _, _, mul, _, norm, finite = arithmetic
+    psi1p, psi2p = mul(g1, psi1), mul(g2, psi2)
+    _require_finite(finite(psi1p) and finite(psi2p), "state")  # as couple checks
+    psi3p, psi4p = _couple(net.splitter, psi1p, psi2p)
+    vectors = (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
+    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = map(norm, vectors)
+    residuals = abs(n1 + n2 - n_in - n4), abs(n3p + n4p - n1p - n2p)
+    # one fresh (8, d) block: the stored psi is never the caller's array
+    return NetworkSolution(*np.array(vectors).reshape(8, net.dim), denom_condition, *residuals)
 
 
 def _assemble_solution(net, psi, psi1, psi2, psi4, denom_condition):
-    """Derive the late-time amplitudes and conservation diagnostics, in :func:`_arithmetic`."""
-    ar = _arithmetic(net)
-    psi1p, psi2p = ar.matmul(ar.native(net.g1), psi1), ar.matmul(ar.native(net.g2), psi2)
-    _require_finite(ar.finite(psi1p) and ar.finite(psi2p), "state")  # as couple checks
-    psi3p, psi4p = _couple(net.splitter, psi1p, psi2p)
-    vectors = (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
-    n_in, n1, n2, n4, n1p, n2p, n3p, n4p = map(ar.norm_sq, vectors)
-    residuals = abs(n1 + n2 - n_in - n4), abs(n3p + n4p - n1p - n2p)
-    return NetworkSolution(*ar.stored(vectors), denom_condition, *residuals)
+    """:func:`_assemble` from arrays, as the oracle holds them."""
+    arithmetic = _arithmetic(net.dim)
+    operands = map(arithmetic[0], (net.g1, net.g2, psi, psi1, psi2, psi4))
+    return _assemble(net, arithmetic, *operands, denom_condition)
 
 
 def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
@@ -128,20 +131,19 @@ def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
     :class:`SingularDenominatorError` when D cannot be formed; that is a
     physical resonance, not something to regularize away.
     """
-    ar = _arithmetic(net)
-    psi = ar.native(as_state(psi, net.dim))
+    arithmetic = native, eye, mul, inverse, _, _ = _arithmetic(net.dim)
+    m, g1, g2, psi = map(native, (net.m, net.g1, net.g2, as_state(psi, net.dim)))
     a, b = net.splitter.alpha, net.splitter.beta
-    eye, mul, m = ar.eye(net.dim), ar.matmul, ar.native(net.m)
-    mg1, mg2 = mul(m, ar.native(net.g1)), mul(m, ar.native(net.g2))
+    mg1, mg2 = mul(m, g1), mul(m, g2)
     try:
-        d_op, condition = ar.invert(eye + b * b * mg1 - a * a * mg2)
+        d_op, condition = inverse(eye + b * b * mg1 - a * a * mg2)
     except SingularMatrixError as exc:
         message = f"loop denominator is singular: {exc}"
         raise SingularDenominatorError(message, condition=exc.condition) from exc
     psi1 = a * mul(d_op, mul(eye - mg2, psi))
     psi2 = -1j * b * mul(d_op, mul(eye + mg1, psi))
     psi4 = a * mul(mg2, psi2) - 1j * b * mul(mg1, psi1)
-    return _assemble_solution(net, psi, psi1, psi2, psi4, condition)
+    return _assemble(net, arithmetic, g1, g2, psi, psi1, psi2, psi4, condition)
 
 
 def verify_fixed_point(net: FeedbackNetwork, sol: NetworkSolution, tol: float = 1e-10) -> float:
@@ -165,9 +167,8 @@ def verify_fixed_point(net: FeedbackNetwork, sol: NetworkSolution, tol: float = 
         _max_abs(sol.psi4 - net.m @ sol.psi4p),
     )
     if residual > tol:
-        warnings.warn(
-            f"fixed-point residual {residual:.3e} exceeds tol {tol:.1e}", RuntimeWarning
-        )
+        message = f"fixed-point residual {residual:.3e} exceeds tol {tol:.1e}"
+        warnings.warn(message, RuntimeWarning)
     return residual
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_state, couple, spectral_radius
-from .network import FeedbackNetwork, NetworkSolution, _arithmetic, _assemble_solution
+from .network import FeedbackNetwork, NetworkSolution, _assemble_solution
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
@@ -127,6 +127,5 @@ def solve_by_iteration(
             report,
         )
     psi1, psi2 = couple(net.splitter, psi, psi4)
-    native = _arithmetic(net).native
-    solution = _assemble_solution(net, *map(native, (psi, psi1, psi2, psi4)), denom_condition=None)
+    solution = _assemble_solution(net, psi, psi1, psi2, psi4, denom_condition=None)
     return solution, report

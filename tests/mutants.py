@@ -9,7 +9,7 @@ the run fails or times out; a survivor is a change no test notices.
 
 Run from the repository root (pytest does not collect this file)::
 
-    python tests/mutants.py [--workers 2] [--modules network oracle] [--timeout 900]
+    python tests/mutants.py [--workers N]
 
 It first checks that the unmutated ``ast.unparse`` of every module passes,
 then prints one line per survivor and the kill count.
@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qtimeloop"
 MODULES = ("network", "oracle", "linalg", "scenarios")
+TIMEOUT_S = 900  # per tier-1 run; a mutant that loops past it counts as killed
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -78,7 +79,7 @@ def mutate(source: str, target: int = -1) -> tuple[str, list[str], str | None]:
     return ast.unparse(tree), mutator.sites, mutator.applied
 
 
-def run_tier1(module: str, source: str, timeout: float) -> str:
+def run_tier1(module: str, source: str) -> str:
     """'passed', 'failed' or 'timeout' for tier-1 with ``module`` replaced by ``source``."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         shutil.copytree(ROOT / "src", Path(tmp, "src"), ignore=shutil.ignore_patterns("__pycache__"))
@@ -89,7 +90,7 @@ def run_tier1(module: str, source: str, timeout: float) -> str:
         env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")), PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         try:
-            proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, timeout=timeout)
+            proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "timeout"
         return "passed" if proc.returncode == 0 else "failed"
@@ -97,22 +98,20 @@ def run_tier1(module: str, source: str, timeout: float) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--modules", nargs="+", choices=MODULES, default=list(MODULES))
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per tier-1 run")
+    parser.add_argument("--workers", type=int, default=2, help="tier-1 runs at a time")
     args = parser.parse_args()
     jobs = []
-    for module in args.modules:
+    for module in MODULES:
         source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
         plain, sites, _ = mutate(source)
-        if run_tier1(module, plain, args.timeout) != "passed":
+        if run_tier1(module, plain) != "passed":
             print(f"{module}: the unmutated ast.unparse fails tier-1", flush=True)
             return 1
         for k in range(len(sites)):
             mutated, _, site = mutate(source, k)
             jobs.append((module, mutated, site))
     with ThreadPoolExecutor(args.workers) as pool:
-        outcomes = list(pool.map(lambda job: run_tier1(job[0], job[1], args.timeout), jobs))
+        outcomes = list(pool.map(lambda job: run_tier1(job[0], job[1]), jobs))
     survivors = [f"{module}.py:{site}" for (module, _, site), outcome in zip(jobs, outcomes)
                  if outcome == "passed"]
     for line in survivors:
