@@ -10,7 +10,9 @@ per-call cost dominates there, and takes 1/z in Python floats. For the
 same reason the finite check of a 1x1 operator or a length-1 state and
 :func:`norm_sq` of a single entry run on Python scalars. The check and
 1/z are bit for bit what the array routines give; a single entry's |z|^2
-is re*re + im*im, which is np.vdot's wherever it is finite.
+is re*re + im*im, which is np.vdot's wherever it is finite. Past the float
+range :func:`norm_sq` of any length sums those squares, so it reads inf at
+every d where np.vdot may give NaN.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ def norm_sq(v) -> float:
     arr = np.asarray(v, dtype=complex)
     if arr.size == 1:
         return _abs_sq(arr.item())
-    return float(np.vdot(arr, arr).real)
+    total = float(np.vdot(arr, arr).real)
+    # past the float range vdot's inf or NaN depends on the BLAS kernel
+    return total if math.isfinite(total) else sum(map(_abs_sq, arr.tolist()))
 
 
 def _abs_sq(z: complex) -> float:
@@ -91,7 +95,7 @@ def _abs_sq(z: complex) -> float:
 
 def _max_abs(v) -> float:
     """Max-norm max_i |v_i|."""
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def _max_relative_difference(reference, other) -> float:

@@ -7,20 +7,24 @@ Iterating from psi4 = 0 adds one loop traversal per step, so the partial
 sums are truncated geometric series and the converged iterate certifies
 the closed-form answer without ever forming the denominator inverse.
 
-At d=1 the recurrence runs on Python ``complex`` scalars: the same multiply
-and add as the 1x1 matrix loop, without numpy's per-call dispatch on every
-traversal. Its steps are sized by Python's abs.
+One loop body runs the recurrence at every d; the dimension picks its
+operands once. At d=1 they are Python ``complex`` scalars, multiplied with
+``operator.mul`` and sized by Python's abs: bit for bit the 1x1 matrix
+loop's iterates, without numpy's per-call dispatch on every traversal. At
+d >= 2 they are arrays, multiplied with ``operator.matmul`` and sized by the
+max-norm.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_state, couple, spectral_radius
+from .linalg import _max_abs, as_state, couple, spectral_radius
 from .network import FeedbackNetwork, NetworkSolution, _assemble_solution
 
 DEFAULT_TOL = 1e-12
@@ -51,34 +55,25 @@ def loop_map(net: FeedbackNetwork) -> tuple[np.ndarray, np.ndarray]:
     return t, s
 
 
-def _iterate_scalar(t, drive, tol, max_iter):
-    """d=1 recurrence x <- t x + c: :func:`_iterate_matrix`'s iterates, stopped on Python's abs."""
-    t, c = complex(t[0, 0]), complex(drive[0])
-    x, inf = 0j, math.inf
-    for iterations in range(1, max_iter + 1):
-        new = t * x + c
-        try:
-            update = abs(new - x)
-        except OverflowError:  # finite parts, modulus past the float range
-            update = inf
-        x = new
-        if not tol < update < inf:  # also true for a NaN update
-            break
-    return np.array([x]), iterations, update, update <= tol
-
-
-def _iterate_matrix(t, drive, tol, max_iter):
+def _iterate(t, drive, tol, max_iter):
     """psi4 <- T psi4 + drive from psi4 = 0; returns (psi4, iterations, update, converged)."""
-    x = np.zeros(drive.shape[0], dtype=complex)
+    if drive.shape[0] == 1:
+        t, x, c, mul, size = complex(t[0, 0]), 0j, complex(drive[0]), operator.mul, abs
+    else:
+        x, c, mul, size = np.zeros(drive.shape[0], dtype=complex), drive, operator.matmul, _max_abs
+    inf = math.inf
     # an expanding loop overflows in its last step; the radius warning and the error say so
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
-            new = t @ x + drive
-            update = float(np.abs(new - x).max())
+            new = mul(t, x) + c
+            try:
+                update = size(new - x)
+            except OverflowError:  # Python's abs: finite parts, modulus past the float range
+                update = inf
             x = new
-            if update <= tol or not math.isfinite(update):
+            if not tol < update < inf:  # also true for a NaN update
                 break
-    return x, iterations, update, update <= tol
+    return np.atleast_1d(x), iterations, update, update <= tol
 
 
 def solve_by_iteration(
@@ -117,8 +112,7 @@ def solve_by_iteration(
             "iteration may not converge",
             RuntimeWarning,
         )
-    iterate = _iterate_scalar if net.dim == 1 else _iterate_matrix
-    psi4, iterations, update_norm, converged = iterate(t, drive, tol, max_iter)
+    psi4, iterations, update_norm, converged = _iterate(t, drive, tol, max_iter)
     report = IterationReport(iterations, update_norm, radius, converged)
     if not converged:
         raise NotConvergedError(

@@ -285,6 +285,13 @@ def test_scenario_perturbative_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the Richardson estimate's O(gamma^2) truncation near resonance, |1 - m g2| = 0.051: "
+    "residual 2.3e-06 against the fixed tol 1e-06 at seed 0, dim 1"))
+def test_scenario_perturbative_passes_at_dim_1():
+    assert main(["scenario", "perturbative", "--dim", "1"]) == 0
+
+
 def test_scenario_unknown_name_exits_1(capsys):
     assert main(["scenario", "time-machine"]) == 1
 

@@ -344,3 +344,10 @@ def test_norm_sq_of_one_entry_past_the_float_range_is_inf(z, monkeypatch):
     assert norm_sq([z]) == math.inf
     norm_sq([1e150 + 1e150j])  # the square is finite
     assert calls == []
+
+
+@pytest.mark.parametrize("v", [[1e278 - 1e278j, 1], [1e160 + 1e160j, 0]], ids=repr)
+def test_norm_sq_of_several_entries_past_the_float_range_is_inf(v):
+    # the sum of re*re + im*im, where np.vdot's inf or NaN depends on the BLAS kernel
+    assert norm_sq(v) == math.inf
+    assert norm_sq(np.array(v)[::-1]) == math.inf

@@ -271,6 +271,19 @@ def test_transmitted_probability_beta_half_squared_phase_pi():
     assert transmitted_probability(sol) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
+def test_transmission_past_the_float_range_is_inf_at_every_d():
+    # |psi3'|^2 leaves the float range; np.vdot alone reads NaN for the d=2 copy on some kernels
+    for dim in (1, 2):
+        net = FeedbackNetwork(
+            g1=np.diag([1e160 * (1 + 1j), 1.0][:dim]),
+            g2=np.eye(dim),
+            m=np.zeros((dim, dim)),
+            splitter=SplitterParams.from_beta(0.5),
+        )
+        sol = solve_closed_form(net, np.eye(dim)[0])
+        assert transmitted_probability(sol) == math.inf, dim
+
+
 def matrix_closed_form_d1(net, psi):
     """The d=1 closed form as 1x1 numpy expressions, the way the solver wrote
     it before d=1 ran on Python scalars: the denominator inverse is ztrti2's

@@ -7,13 +7,7 @@ import pytest
 
 from qtimeloop.linalg import SplitterParams, norm_sq, random_unitary, spectral_radius
 from qtimeloop.network import FeedbackNetwork, solve_closed_form, transmitted_probability, verify_fixed_point
-from qtimeloop.oracle import (
-    NotConvergedError,
-    _iterate_matrix,
-    _iterate_scalar,
-    loop_map,
-    solve_by_iteration,
-)
+from qtimeloop.oracle import NotConvergedError, _iterate, loop_map, solve_by_iteration
 from qtimeloop.scenarios import GrandfatherParams, build_grandfather
 
 
@@ -233,6 +227,33 @@ D1_MAPS = {
 }
 
 
+def _random_map(dim, budget):
+    t, s = loop_map(contractive_network(10, dim, channel_scale=1.0, beta=0.3))
+    return t, s @ normalized_state(13, dim), budget
+
+
+# name -> (T, drive, max_iter) of a d >= 2 loop map: seeded random unitaries at beta = 0.3
+WIDE_MAPS = {
+    **{f"random-d{dim}": _random_map(dim, 1_000_000) for dim in (2, 4, 16)},
+    "random-d4-budget-3": _random_map(4, 3),
+    # |T| = 2: the iterate overflows to inf
+    "divergent-d2": (np.diag([2.0, 2.0j]), np.array([1.0, 1.0 - 1.0j]), 5000),
+}
+
+
+def reference_loop(t, drive, tol, max_iter):
+    """The traversal sum on numpy arrays at every d: psi4 <- T psi4 + drive from psi4 = 0."""
+    x = np.zeros(drive.shape[0], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            new = t @ x + drive
+            update = float(np.abs(new - x).max())
+            x = new
+            if update <= tol or not math.isfinite(update):
+                break
+    return x, iterations, update, update <= tol
+
+
 def python_abs(z):
     try:
         return abs(z)
@@ -243,11 +264,10 @@ def python_abs(z):
 @pytest.mark.parametrize("case", sorted(D1_MAPS))
 def test_scalar_recurrence_is_bit_equal_to_matrix_loop(case):
     t, drive, max_iter = D1_MAPS[case]
-    with np.errstate(over="ignore", invalid="ignore"):
-        fast = _iterate_scalar(t, drive, 1e-12, max_iter)
-        reference = _iterate_matrix(t, drive, 1e-12, max_iter)
-        n = reference[1]
-        previous = _iterate_matrix(t, drive, 0.0, n - 1)[0] if n > 1 else np.zeros(1, complex)
+    fast = _iterate(t, drive, 1e-12, max_iter)
+    reference = reference_loop(t, drive, 1e-12, max_iter)
+    n = reference[1]
+    previous = reference_loop(t, drive, 0.0, n - 1)[0] if n > 1 else np.zeros(1, complex)
     assert fast[0].dtype == reference[0].dtype
     assert fast[0].tobytes() == reference[0].tobytes()
     assert fast[1] == n
@@ -267,12 +287,24 @@ def test_scalar_recurrence_stops_at_the_first_step_within_tol():
         steps.append(abs(new - x))
         x = new
     for k in range(1, 40):
-        edge = _iterate_scalar(t, drive, 0.0, k)[2]
+        edge = _iterate(t, drive, 0.0, k)[2]
         for tol in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
-            psi4, iterations, update, converged = _iterate_scalar(t, drive, tol, 100)
+            psi4, iterations, update, converged = _iterate(t, drive, tol, 100)
             first = next(n for n, step in enumerate(steps, 1) if step <= tol)
             assert (iterations, update, converged) == (first, steps[first - 1], True)
-            assert psi4.tobytes() == _iterate_matrix(t, drive, -1.0, first)[0].tobytes()
+            assert psi4.tobytes() == reference_loop(t, drive, -1.0, first)[0].tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_MAPS))
+def test_matrix_recurrence_is_bit_equal_to_the_reference_loop(case):
+    t, drive, max_iter = WIDE_MAPS[case]
+    psi4, iterations, update, converged = _iterate(t, drive, 1e-12, max_iter)
+    reference = reference_loop(t, drive, 1e-12, max_iter)
+    assert psi4.dtype == reference[0].dtype
+    assert psi4.tobytes() == reference[0].tobytes()
+    assert iterations == reference[1]
+    assert struct.pack("<d", update) == struct.pack("<d", reference[2])
+    assert converged == reference[3]
 
 
 # The d=1 oracle's traversal counts on the grandfather loop; theta cancels out
