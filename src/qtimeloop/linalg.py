@@ -195,17 +195,12 @@ class SplitterParams:
         return cls(alpha=math.sqrt(max(0.0, 1.0 - beta * beta)), beta=beta)
 
 
-def couple(params: SplitterParams, x, y) -> tuple[np.ndarray, np.ndarray]:
+def _couple(params: SplitterParams, x, y):
     """Apply the two-port coupler: (alpha x - i beta y, alpha y - i beta x).
 
     The same map serves both couplers of a network, only the channel pair
-    fed into it changes.
+    fed into it changes. It runs on arrays or Python complex alike and
+    checks nothing; its callers check the states where they enter.
     """
-    x = as_state(x)
-    return _couple(params, x, as_state(y, x.shape[0]))
-
-
-def _couple(params: SplitterParams, x, y):
-    """:func:`couple` without its input checks, on arrays or Python complex alike."""
     a, b = params.alpha, params.beta
     return a * x - 1j * b * y, a * y - 1j * b * x

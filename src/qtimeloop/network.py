@@ -6,12 +6,15 @@ are the two competing forward channels between the couplers. The closed
 form inverts the loop denominator (1 + beta^2 M G1 - alpha^2 M G2) once
 and reads every internal amplitude off it. Its formulas are written once and
 run on numpy arrays at d >= 2 and on Python ``complex`` at d=1, bit-equal to
-the 1x1 matrices without numpy's per-call cost. The oracle shares the assembly.
+the 1x1 matrices without numpy's per-call cost. The oracle shares that
+arithmetic and the assembly. States are checked where they enter; the coupler
+inside runs unchecked.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +31,6 @@ from .linalg import (
     _require_finite,
     as_operator,
     as_state,
-    couple,
     invert,
     norm_sq,
     readonly_copy,
@@ -104,20 +106,15 @@ def _assemble(net, arithmetic, g1, g2, psi, psi1, psi2, psi4, denom_condition):
     """Derive the late-time amplitudes and conservation diagnostics in ``arithmetic``."""
     _, _, mul, _, norm, finite = arithmetic
     psi1p, psi2p = mul(g1, psi1), mul(g2, psi2)
-    _require_finite(finite(psi1p) and finite(psi2p), "state")  # as couple checks
+    _require_finite(finite(psi1p) and finite(psi2p), "state")  # _couple checks nothing
     psi3p, psi4p = _couple(net.splitter, psi1p, psi2p)
     vectors = (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p)
     n_in, n1, n2, n4, n1p, n2p, n3p, n4p = map(norm, vectors)
-    residuals = abs(n1 + n2 - n_in - n4), abs(n3p + n4p - n1p - n2p)
+    balances = n1 + n2 - n_in - n4, n3p + n4p - n1p - n2p
+    # squared norms past the float range leave inf - inf: that residual reads inf, not NaN
+    residuals = [math.inf if math.isnan(balance) else abs(balance) for balance in balances]
     # one fresh (8, d) block: the stored psi is never the caller's array
     return NetworkSolution(*np.array(vectors).reshape(8, net.dim), denom_condition, *residuals)
-
-
-def _assemble_solution(net, psi, psi1, psi2, psi4, denom_condition):
-    """:func:`_assemble` from arrays, as the oracle holds them."""
-    arithmetic = _arithmetic(net.dim)
-    operands = map(arithmetic[0], (net.g1, net.g2, psi, psi1, psi2, psi4))
-    return _assemble(net, arithmetic, *operands, denom_condition)
 
 
 def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
@@ -153,18 +150,21 @@ def verify_fixed_point(net: FeedbackNetwork, sol: NetworkSolution, tol: float = 
     the channels and the late coupler, and the loop return itself, all from
     the stored vectors; returns the largest max-norm mismatch. A faithful
     solution stays at or below ``tol``; a RuntimeWarning is emitted when it
-    does not.
+    does not. Raises ValueError when any of the eight vectors is not a
+    finite state of the network's dimension.
     """
-    early1, early2 = couple(net.splitter, sol.psi_in, sol.psi4)
-    late3, late4 = couple(net.splitter, sol.psi1p, sol.psi2p)
+    stored = sol.psi_in, sol.psi1, sol.psi2, sol.psi4, sol.psi1p, sol.psi2p, sol.psi3p, sol.psi4p
+    psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p = (as_state(v, net.dim) for v in stored)
+    early1, early2 = _couple(net.splitter, psi, psi4)
+    late3, late4 = _couple(net.splitter, psi1p, psi2p)
     residual = max(
-        _max_abs(sol.psi1 - early1),
-        _max_abs(sol.psi2 - early2),
-        _max_abs(sol.psi1p - net.g1 @ sol.psi1),
-        _max_abs(sol.psi2p - net.g2 @ sol.psi2),
-        _max_abs(sol.psi3p - late3),
-        _max_abs(sol.psi4p - late4),
-        _max_abs(sol.psi4 - net.m @ sol.psi4p),
+        _max_abs(psi1 - early1),
+        _max_abs(psi2 - early2),
+        _max_abs(psi1p - net.g1 @ psi1),
+        _max_abs(psi2p - net.g2 @ psi2),
+        _max_abs(psi3p - late3),
+        _max_abs(psi4p - late4),
+        _max_abs(psi4 - net.m @ psi4p),
     )
     if residual > tol:
         message = f"fixed-point residual {residual:.3e} exceeds tol {tol:.1e}"

@@ -12,7 +12,8 @@ operands once. At d=1 they are Python ``complex`` scalars, multiplied with
 ``operator.mul`` and sized by Python's abs: bit for bit the 1x1 matrix
 loop's iterates, without numpy's per-call dispatch on every traversal. At
 d >= 2 they are arrays, multiplied with ``operator.matmul`` and sized by the
-max-norm.
+max-norm. The iterate stays in that arithmetic through the coupler and the
+assembly, which the closed form shares.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _max_abs, as_state, couple, spectral_radius
-from .network import FeedbackNetwork, NetworkSolution, _assemble_solution
+from .linalg import _couple, _max_abs, as_state, spectral_radius
+from .network import FeedbackNetwork, NetworkSolution, _arithmetic, _assemble
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
@@ -73,7 +74,7 @@ def _iterate(t, drive, tol, max_iter):
             x = new
             if not tol < update < inf:  # also true for a NaN update
                 break
-    return np.atleast_1d(x), iterations, update, update <= tol
+    return x, iterations, update, update <= tol
 
 
 def solve_by_iteration(
@@ -120,6 +121,7 @@ def solve_by_iteration(
             f"[loop spectral radius {radius:.4g}, 1 - radius {1 - radius:.3g}]",
             report,
         )
-    psi1, psi2 = couple(net.splitter, psi, psi4)
-    solution = _assemble_solution(net, psi, psi1, psi2, psi4, denom_condition=None)
-    return solution, report
+    arithmetic = native, *_ = _arithmetic(net.dim)
+    g1, g2, psi = map(native, (net.g1, net.g2, psi))
+    psi1, psi2 = _couple(net.splitter, psi, psi4)
+    return _assemble(net, arithmetic, g1, g2, psi, psi1, psi2, psi4, None), report

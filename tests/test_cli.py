@@ -79,6 +79,22 @@ def test_solve_csv_format(tmp_path, capsys):
     assert "transmitted_probability" in out
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_records_an_overflowed_conservation_residual_as_inf(dim, tmp_path, capsys):
+    # |psi1'|^2 and |psi3'|^2 leave the float range: the late balance is inf - inf
+    g1 = [[{"re": 1e160, "im": 1e160}, 0.0], [0.0, 1.0]]
+    cfg = write_config(tmp_path, dim=dim, g1=[row[:dim] for row in g1[:dim]], g2="identity",
+                       m="zero", beta=0.5)
+    out = tmp_path / "record.json"
+    assert main(["solve", str(cfg), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["conservation_residual_t2"] == math.inf
+    assert main(["solve", str(cfg), "--format", "csv", "--no-timestamp"]) == 0
+    text = capsys.readouterr().out
+    assert "conservation_residual_t2" in text
+    assert "nan" not in text.lower()
+
+
 def test_solve_malformed_shape_exits_1_without_output(tmp_path, capsys):
     cfg = write_config(tmp_path, g1=[[1.0, 0.0], [0.0, 1.0]])  # 2x2 literal for dim 1
     out = tmp_path / "never.json"

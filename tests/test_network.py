@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,27 @@ def test_verify_fixed_point_no_feedback_is_exact():
     assert verify_fixed_point(net, sol) <= 1e-14
 
 
+VECTOR_FIELDS = ("psi_in", "psi1", "psi2", "psi4", "psi1p", "psi2p", "psi3p", "psi4p")
+
+
+@pytest.mark.parametrize("field", VECTOR_FIELDS)
+@pytest.mark.parametrize("defect", ["nan", "inf", "length"])
+def test_verify_fixed_point_rejects_a_vector_that_is_not_a_finite_state(field, defect):
+    net = FeedbackNetwork(random_unitary(2, 1), random_unitary(2, 2), random_unitary(2, 3),
+                          SplitterParams.from_beta(0.3))
+    sol = solve_closed_form(net, [1.0, 0.0])
+    assert verify_fixed_point(net, sol) <= 1e-15
+    vector = getattr(sol, field)
+    if defect == "length":
+        bad, message = np.append(vector, 0j), "dimension mismatch"
+    else:
+        bad, message = vector.copy(), "entries must be finite"
+        bad[1] = float(defect)
+    with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verify_fixed_point(net, dataclasses.replace(sol, **{field: bad}))
+
+
 def test_singular_denominator_raises_with_condition():
     # alpha=1 with m g2 = identity makes the denominator exactly zero
     net = FeedbackNetwork(np.eye(1), np.eye(1), np.eye(1), SplitterParams.from_alpha(1.0))
@@ -282,13 +304,25 @@ def test_transmission_past_the_float_range_is_inf_at_every_d():
         )
         sol = solve_closed_form(net, np.eye(dim)[0])
         assert transmitted_probability(sol) == math.inf, dim
+        # the late balance is |psi3'|^2 + |psi4'|^2 - |psi1'|^2 - ... = inf - inf
+        assert sol.conservation_residual_t1 <= 1e-15, dim
+        assert sol.conservation_residual_t2 == math.inf, dim
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_conservation_residuals_past_the_float_range_read_inf_not_nan(dim):
+    # an input whose |psi|^2 overflows leaves both balances at inf - inf
+    net = FeedbackNetwork(np.eye(dim), np.eye(dim), np.zeros((dim, dim)),
+                          SplitterParams.from_beta(0.5))
+    sol = solve_closed_form(net, 1e160 * (1 + 1j) * np.eye(dim)[0])
+    assert (sol.conservation_residual_t1, sol.conservation_residual_t2) == (math.inf, math.inf)
 
 
 def matrix_closed_form_d1(net, psi):
     """The d=1 closed form as 1x1 numpy expressions, the way the solver wrote
     it before d=1 ran on Python scalars: the denominator inverse is ztrti2's
     reciprocal, the late coupler runs as array operations, and each residual
-    sums the entries' re*re + im*im.
+    sums the entries' re*re + im*im; a NaN balance (inf - inf) reads inf.
     Returns the eight vectors and both residuals, or raises what the solver
     raised."""
     psi = np.asarray(psi, dtype=complex)
@@ -321,8 +355,11 @@ def matrix_closed_form_d1(net, psi):
         z = v.item()
         return z.real * z.real + z.imag * z.imag
 
-    res_t1 = abs(sq(psi1) + sq(psi2) - sq(psi) - sq(psi4))
-    res_t2 = abs(sq(psi3p) + sq(psi4p) - sq(psi1p) - sq(psi2p))
+    def residual(balance):
+        return math.inf if math.isnan(balance) else abs(balance)
+
+    res_t1 = residual(sq(psi1) + sq(psi2) - sq(psi) - sq(psi4))
+    res_t2 = residual(sq(psi3p) + sq(psi4p) - sq(psi1p) - sq(psi2p))
     return (psi, psi1, psi2, psi4, psi1p, psi2p, psi3p, psi4p), res_t1, res_t2
 
 

@@ -5,8 +5,15 @@ import struct
 import numpy as np
 import pytest
 
-from qtimeloop.linalg import SplitterParams, norm_sq, random_unitary, spectral_radius
-from qtimeloop.network import FeedbackNetwork, solve_closed_form, transmitted_probability, verify_fixed_point
+from qtimeloop.linalg import SplitterParams, as_state, norm_sq, random_unitary, spectral_radius
+from qtimeloop.network import (
+    FeedbackNetwork,
+    _arithmetic,
+    _assemble,
+    solve_closed_form,
+    transmitted_probability,
+    verify_fixed_point,
+)
 from qtimeloop.oracle import NotConvergedError, _iterate, loop_map, solve_by_iteration
 from qtimeloop.scenarios import GrandfatherParams, build_grandfather
 
@@ -268,8 +275,10 @@ def test_scalar_recurrence_is_bit_equal_to_matrix_loop(case):
     reference = reference_loop(t, drive, 1e-12, max_iter)
     n = reference[1]
     previous = reference_loop(t, drive, 0.0, n - 1)[0] if n > 1 else np.zeros(1, complex)
-    assert fast[0].dtype == reference[0].dtype
-    assert fast[0].tobytes() == reference[0].tobytes()
+    # the d=1 iterate is a Python complex; wrapped, it is the matrix loop's 1-vector
+    assert type(fast[0]) is complex
+    assert np.atleast_1d(fast[0]).dtype == reference[0].dtype
+    assert np.atleast_1d(fast[0]).tobytes() == reference[0].tobytes()
     assert fast[1] == n
     # the update is Python's |x_n - x_(n-1)|, which may differ from numpy's in the last bit
     expected = python_abs(complex(reference[0][0]) - complex(previous[0]))
@@ -292,7 +301,9 @@ def test_scalar_recurrence_stops_at_the_first_step_within_tol():
             psi4, iterations, update, converged = _iterate(t, drive, tol, 100)
             first = next(n for n, step in enumerate(steps, 1) if step <= tol)
             assert (iterations, update, converged) == (first, steps[first - 1], True)
-            assert psi4.tobytes() == reference_loop(t, drive, -1.0, first)[0].tobytes()
+            expected = reference_loop(t, drive, -1.0, first)[0]
+            assert np.atleast_1d(psi4).dtype == expected.dtype
+            assert np.atleast_1d(psi4).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(WIDE_MAPS))
@@ -305,6 +316,59 @@ def test_matrix_recurrence_is_bit_equal_to_the_reference_loop(case):
     assert iterations == reference[1]
     assert struct.pack("<d", update) == struct.pack("<d", reference[2])
     assert converged == reference[3]
+
+
+def array_tail_solution(net, psi):
+    """The oracle's answer with its tail on arrays, as it was written before the
+    d=1 iterate stayed a Python complex: the iterate wrapped in a 1-vector, the
+    early coupler as array operations, then all six operands converted to the
+    dimension's arithmetic for the shared assembly."""
+    psi = as_state(psi, net.dim)
+    t, s = loop_map(net)
+    psi4 = np.atleast_1d(_iterate(t, s @ psi, 1e-12, 1_000_000)[0])
+    a, b = net.splitter.alpha, net.splitter.beta
+    psi1, psi2 = a * psi - 1j * b * psi4, a * psi4 - 1j * b * psi
+    arithmetic = _arithmetic(net.dim)
+    operands = map(arithmetic[0], (net.g1, net.g2, psi, psi1, psi2, psi4))
+    return _assemble(net, arithmetic, *operands, None)
+
+
+def _solution_bits(sol):
+    vectors = (sol.psi_in, sol.psi1, sol.psi2, sol.psi4, sol.psi1p, sol.psi2p, sol.psi3p, sol.psi4p)
+    residuals = struct.pack("<2d", sol.conservation_residual_t1, sol.conservation_residual_t2)
+    return [(v.dtype, v.shape, v.tobytes()) for v in vectors], residuals, sol.denom_condition
+
+
+TAIL_CASES = {
+    **{
+        f"grandfather-beta{beta}-phase{phase}": (
+            build_grandfather(GrandfatherParams(beta=beta, theta=0.7)), [cmath.exp(1j * phase)]
+        )
+        for beta in (0.3, 0.1, 0.03)
+        for phase in (0.0, 1.1, -2.0)
+    },
+    # alpha = 1: the loop is undriven and the coupler products carry signed zeros
+    **{
+        f"undriven-alpha1-input{k}": (
+            FeedbackNetwork([[0.5]], [[cmath.exp(0.4j)]], [[cmath.exp(1.1j)]],
+                            SplitterParams.from_alpha(1.0)),
+            [psi],
+        )
+        for k, psi in enumerate((complex(-0.0, 1.0), complex(-2.0, -0.0)))
+    },
+    **{
+        f"random-d{dim}": (contractive_network(10, dim, channel_scale=1.0, beta=0.3),
+                           normalized_state(13, dim))
+        for dim in (2, 4, 16)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_oracle_solution_is_bit_equal_to_the_array_tail(case):
+    net, psi = TAIL_CASES[case]
+    sol, _ = solve_by_iteration(net, psi)
+    assert _solution_bits(sol) == _solution_bits(array_tail_solution(net, psi))
 
 
 # The d=1 oracle's traversal counts on the grandfather loop; theta cancels out
