@@ -8,7 +8,8 @@ CSV lineshape plus an optional SVG plot.
 
 This module only parses arguments, writes results as they are rendered and
 maps errors to exit codes: the worked cases, their identities and tolerances
-live in :mod:`qtimeloop.scenarios`, the scan's input rules in ``phase_scan``.
+live in :mod:`qtimeloop.scenarios`, the scan's input rules in ``phase_scan``
+and its width verdict in ``PhaseScanResult``.
 
 Warnings, such as an oracle loop radius of 1 or more, print as one
 ``warning:`` line on stderr, errors as one ``error:`` line.
@@ -49,10 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SINGULAR = 2
 EXIT_NOT_CONVERGED = 3
-
-# numeric-vs-formula FWHM disagreement beyond this marks the width law
-# as out of its small-coupling regime
-WIDTH_REGIME_TOL = 0.05
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +165,7 @@ def _scan_lines(result, beta: float):
     numeric = result.fwhm_numeric
     yield f"# fwhm_numeric = {'none' if numeric is None else repr(numeric)}\n"
     yield f"# fwhm_predicted = {result.fwhm_predicted!r}\n"
-    if numeric is not None and abs(numeric / result.fwhm_predicted - 1.0) > WIDTH_REGIME_TOL:
+    if result.width_out_of_regime:
         yield "# width formula out of small-beta regime\n"
 
 

@@ -173,8 +173,14 @@ def verify_fixed_point(net: FeedbackNetwork, sol: NetworkSolution, tol: float = 
 
 
 def transmitted_probability(sol: NetworkSolution) -> float:
-    """norm^2(psi3') / norm^2(psi_in)."""
+    """norm^2(psi3') / norm^2(psi_in), taken on both states scaled by one exact
+    power of two when a squared norm passes the float range."""
     denom = norm_sq(sol.psi_in)
     if denom == 0.0:
         raise ValueError("input state has zero norm")
-    return norm_sq(sol.psi3p) / denom
+    ratio = norm_sq(sol.psi3p) / denom
+    if math.isfinite(ratio) and denom < math.inf:
+        return ratio
+    # the largest |entry| of psi_in lands in [1, 2); halving first keeps that |entry| finite
+    scale = math.ldexp(1.0, -math.frexp(_max_abs(0.5 * sol.psi_in))[1])
+    return norm_sq(scale * sol.psi3p) / norm_sq(scale * sol.psi_in)

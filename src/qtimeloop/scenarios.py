@@ -238,6 +238,12 @@ class PhaseScanResult:
     fwhm_numeric: float | None
     fwhm_predicted: float
 
+    @property
+    def width_out_of_regime(self) -> bool:
+        """The numeric width misses the small-coupling ``fwhm_predicted`` by more than 5 %."""
+        numeric = self.fwhm_numeric
+        return numeric is not None and abs(numeric / self.fwhm_predicted - 1.0) > 0.05
+
 
 def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: int) -> PhaseScanResult:
     """Solve the grandfather network on an inclusive, evenly spaced phi grid.
@@ -267,28 +273,17 @@ def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: i
     )
 
 
-def _crossing(x, y, start: int, step: int, half: float) -> float | None:
-    """Half-level crossing walking outward from the peak; None when not found."""
-    inner = start
-    i = start + step
-    while 0 <= i < len(y):
-        if y[i] <= half:
-            x0, y0 = x[inner], y[inner]
-            x1, y1 = x[i], y[i]
-            if y1 == y0:
-                return float(x1)
-            return float(x0 + (half - y0) * (x1 - x0) / (y1 - y0))
-        inner = i
-        i += step
-    return None
-
-
 def _interpolated_fwhm(x, y) -> float | None:
-    """Width between the two half-maximum crossings, linearly interpolated."""
+    """Width between the first samples at or below half the peak on either side, each
+    linearly interpolated against its inner neighbour; None when a side has none."""
     peak = int(np.argmax(y))
     half = float(y[peak]) / 2.0
-    left = _crossing(x, y, peak, -1, half)
-    right = _crossing(x, y, peak, +1, half)
-    if left is None or right is None:
+    below = np.flatnonzero(y <= half)
+    left, right = below[below < peak], below[below > peak]
+    if not (left.size and right.size):
         return None
-    return right - left
+    ends = []
+    for i, inner in ((left[-1], left[-1] + 1), (right[0], right[0] - 1)):
+        x0, y0, x1, y1 = x[inner], y[inner], x[i], y[i]
+        ends.append(float(x1) if y1 == y0 else float(x0 + (half - y0) * (x1 - x0) / (y1 - y0)))
+    return ends[1] - ends[0]

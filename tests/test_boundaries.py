@@ -25,7 +25,7 @@ from qtimeloop.linalg import (
 )
 from qtimeloop.network import FeedbackNetwork, solve_closed_form, verify_fixed_point
 from qtimeloop.oracle import NotConvergedError, loop_map, solve_by_iteration
-from qtimeloop.scenarios import GrandfatherParams, _crossing, phase_scan
+from qtimeloop.scenarios import GrandfatherParams, _interpolated_fwhm, phase_scan
 
 
 def test_oracle_runs_a_budget_of_one_traversal_and_a_tol_of_zero():
@@ -97,5 +97,5 @@ def test_phase_scan_runs_three_points():
 
 
 def test_crossing_lands_on_a_sample_exactly_at_half():
-    assert _crossing([0.0, 1.0], [1.0, 0.5], 0, +1, 0.5) == 1.0
-    assert _crossing([0.0, 1.0], [0.5, 1.0], 1, -1, 0.5) == 0.0
+    # the crossings are the samples at 0.0 and 1.0 themselves
+    assert _interpolated_fwhm([0.0, 0.5, 1.0], np.array([0.5, 1.0, 0.5])) == 1.0

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import struct
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtimeloop.cli import main
 from qtimeloop.linalg import SplitterParams, as_operator, as_state, norm_sq, random_unitary
 from qtimeloop.network import (
     FeedbackNetwork,
@@ -307,6 +309,34 @@ def test_transmission_past_the_float_range_is_inf_at_every_d():
         # the late balance is |psi3'|^2 + |psi4'|^2 - |psi1'|^2 - ... = inf - inf
         assert sol.conservation_residual_t1 <= 1e-15, dim
         assert sol.conservation_residual_t2 == math.inf, dim
+
+
+@pytest.mark.parametrize("size", [1e160, 1.3e308])
+@pytest.mark.parametrize("gain", [1.0, 1e-10])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transmission_of_an_input_past_the_float_range_is_finite(dim, gain, size):
+    # |psi|^2 overflows: the plain quotient reads inf / inf = NaN at gain 1, 0 at gain 1e-10;
+    # at size 1.3e308 |psi_0| itself is past the float range, though its parts are not
+    net = FeedbackNetwork(gain * np.eye(dim), gain * np.eye(dim), np.zeros((dim, dim)),
+                          SplitterParams.from_beta(0.5))
+    psi = np.array([1 + 1j, 0.5 - 0.25j])[:dim]
+    expected = transmitted_probability(solve_closed_form(net, psi))
+    got = transmitted_probability(solve_closed_form(net, size * psi))
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_solve_records_a_finite_transmission_for_an_input_past_the_float_range(tmp_path, capsys):
+    cfg = tmp_path / "net.json"
+    cfg.write_text(json.dumps({"dim": 1, "g1": "identity", "g2": "identity", "m": "zero",
+                               "beta": 0.5, "input_state": [{"re": 1e160, "im": 1e160}]}))
+    assert main(["solve", str(cfg), "--no-timestamp"]) == 0
+    from_json = json.loads(capsys.readouterr().out)["transmitted_probability"]
+    assert main(["solve", str(cfg), "--no-timestamp", "--format", "csv"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("transmitted_probability,"))
+    # the same network at input 1 + 1j gives 0.2499999999999999
+    for value in (from_json, float(row.split(",")[2])):
+        assert abs(value - 0.2499999999999999) <= 1e-15
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtimeloop.linalg import SingularMatrixError, SplitterParams, norm_sq, random_unitary
 from qtimeloop.network import solve_closed_form, transmitted_probability
 from qtimeloop.scenarios import (
     SPECIAL_CASES,
     GrandfatherParams,
+    _interpolated_fwhm,
     build_grandfather,
     build_undo,
     grandfather_amplitude_ratios,
@@ -265,6 +268,66 @@ def test_phase_scan_small_angle_lorentzian_limit():
 def test_phase_scan_width_absent_when_crossings_leave_window():
     result = phase_scan(GrandfatherParams(beta=0.3), -0.01, 0.01, 101)
     assert result.fwhm_numeric is None
+
+
+def test_width_out_of_regime_reads_the_five_percent_verdict():
+    assert not phase_scan(GrandfatherParams(beta=0.3), -math.pi, math.pi, 4001).width_out_of_regime
+    assert phase_scan(GrandfatherParams(beta=0.9), -math.pi, math.pi, 2001).width_out_of_regime
+    # no numeric width, so no verdict
+    assert not phase_scan(GrandfatherParams(beta=0.3), -0.01, 0.01, 101).width_out_of_regime
+
+
+def _walked_crossing(x, y, start, step, half):
+    """Reference: the half-level crossing found by walking outward from the peak."""
+    inner = start
+    i = start + step
+    while 0 <= i < len(y):
+        if y[i] <= half:
+            x0, y0 = x[inner], y[inner]
+            x1, y1 = x[i], y[i]
+            if y1 == y0:
+                return float(x1)
+            return float(x0 + (half - y0) * (x1 - x0) / (y1 - y0))
+        inner = i
+        i += step
+    return None
+
+
+def _walked_fwhm(x, y):
+    peak = int(np.argmax(y))
+    half = float(y[peak]) / 2.0
+    left = _walked_crossing(x, y, peak, -1, half)
+    right = _walked_crossing(x, y, peak, +1, half)
+    if left is None or right is None:
+        return None
+    return right - left
+
+
+@st.composite
+def _curves(draw):
+    """Sorted grids with ties, flat and all-zero runs, NaN and peaks anywhere, at scales 1e±300."""
+    n = draw(st.integers(1, 12))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, -1.0, math.nan])
+    y = draw(st.lists(st.one_of(levels, st.floats(-2.0, 2.0)), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    x = draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n, unique=True))
+    return sorted(x), np.array(y) * scale
+
+
+@settings(max_examples=500, deadline=None)
+@given(_curves())
+@example(([0.0, 1.0, 2.0], np.zeros(3)))
+@example(([0.0, 1.0, 2.0], np.array([-2.0, -1.0, -2.0])))
+@example(([0.0, 1.0, 2.0], np.array([1.0, 1.0, 1.0])))
+@example(([0.0, 1.0, 2.0], np.array([1.0, 0.4, 0.1])))
+@example(([0.0, 1.0, 2.0], np.array([0.1, 0.4, 1.0])))
+@example(([0.0, 1.0, 2.0, 3.0], np.array([0.1, math.nan, 1.0, 0.2])))
+@example(([-1e300, 0.0, 1e300], np.array([1e-300, 3e-300, 1e-300])))
+def test_interpolated_fwhm_matches_an_outward_walk(curve):
+    x, y = curve
+    with np.errstate(all="ignore"):
+        got, want = _interpolated_fwhm(x, y), _walked_fwhm(x, y)
+    assert repr(got) == repr(want)
 
 
 def test_phase_scan_validates_range():
