@@ -24,7 +24,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .linalg import DIM_CAP, SplitterParams, norm_sq, random_unitary
+from .linalg import DIM_CAP, SplitterParams, random_unitary
 from .network import FeedbackNetwork
 
 
@@ -68,7 +68,7 @@ def parse_config(raw: dict) -> tuple[FeedbackNetwork, np.ndarray]:
     g2 = _parse_operator(raw["g2"], dim, "g2")
     m = _parse_operator(raw["m"], dim, "m")
     psi = _parse_state(raw["input_state"], dim)
-    if norm_sq(psi) == 0.0:
+    if not psi.any():  # |psi|^2 may underflow to 0 while an entry is not
         raise ConfigError("input_state must have nonzero norm")
     return FeedbackNetwork(g1=g1, g2=g2, m=m, splitter=splitter), psi
 

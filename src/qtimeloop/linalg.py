@@ -71,13 +71,6 @@ def _require_finite(finite: bool, kind: str) -> None:
         raise ValueError(f"{kind} entries must be finite")
 
 
-def readonly_copy(a: np.ndarray) -> np.ndarray:
-    """Defensive copy with the write flag cleared; keeps the memory order (C or Fortran)."""
-    out = np.asarray(a, dtype=complex).copy(order="K")
-    out.setflags(write=False)
-    return out
-
-
 def norm_sq(v) -> float:
     """Squared Euclidean norm sum_i |v_i|^2."""
     arr = np.asarray(v, dtype=complex)

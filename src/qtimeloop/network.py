@@ -33,7 +33,6 @@ from .linalg import (
     as_state,
     invert,
     norm_sq,
-    readonly_copy,
 )
 
 
@@ -52,11 +51,12 @@ class FeedbackNetwork:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        g1 = as_operator(self.g1)
-        d = g1.shape[0]
-        object.__setattr__(self, "g1", readonly_copy(g1))
-        object.__setattr__(self, "g2", readonly_copy(as_operator(self.g2, d)))
-        object.__setattr__(self, "m", readonly_copy(as_operator(self.m, d)))
+        d = None  # g1 sets the dimension of g2 and m
+        for name in ("g1", "g2", "m"):
+            op = as_operator(getattr(self, name), d).copy(order="K")  # C or Fortran, as given
+            op.setflags(write=False)
+            object.__setattr__(self, name, op)
+            d = op.shape[0]
         object.__setattr__(self, "dim", d)
 
 
@@ -173,14 +173,18 @@ def verify_fixed_point(net: FeedbackNetwork, sol: NetworkSolution, tol: float = 
 
 
 def transmitted_probability(sol: NetworkSolution) -> float:
-    """norm^2(psi3') / norm^2(psi_in), taken on both states scaled by one exact
-    power of two when a squared norm passes the float range."""
-    denom = norm_sq(sol.psi_in)
-    if denom == 0.0:
-        raise ValueError("input state has zero norm")
-    ratio = norm_sq(sol.psi3p) / denom
-    if math.isfinite(ratio) and denom < math.inf:
-        return ratio
+    """norm^2(psi3') / norm^2(psi_in), taken on both states scaled by exact powers
+    of two when a squared norm leaves the normal float range."""
+    psi_in, psi3p = sol.psi_in, sol.psi3p
+    denom = norm_sq(psi_in)
+    if denom < 2.0**-1022:  # every |entry| is below 2^-511: lift all exactly to normal squares
+        if not psi_in.any():
+            raise ValueError("input state has zero norm")
+        psi_in, psi3p = 2.0**600 * psi_in, 2.0**600 * psi3p
+    else:
+        ratio = norm_sq(psi3p) / denom
+        if math.isfinite(ratio) and denom < math.inf:
+            return ratio
     # the largest |entry| of psi_in lands in [1, 2); halving first keeps that |entry| finite
-    scale = math.ldexp(1.0, -math.frexp(_max_abs(0.5 * sol.psi_in))[1])
-    return norm_sq(scale * sol.psi3p) / norm_sq(scale * sol.psi_in)
+    scale = math.ldexp(1.0, -math.frexp(_max_abs(0.5 * psi_in))[1])
+    return norm_sq(scale * psi3p) / norm_sq(scale * psi_in)

@@ -34,6 +34,9 @@ DEFAULT_MAX_ITER = 1_000_000
 
 @dataclass(frozen=True)
 class IterationReport:
+    """One oracle run. ``loop_spectral_radius_estimate`` is exact, not an estimate:
+    max|eig(T)| from :func:`qtimeloop.linalg.spectral_radius`."""
+
     iterations_used: int
     final_update_norm: float
     loop_spectral_radius_estimate: float

@@ -87,7 +87,7 @@ def grandfather_transmission(beta: float, phi: float) -> float:
 def predicted_fwhm(beta: float) -> float:
     """Small-coupling width 2 beta^2 / alpha of the transmission peak."""
     _check_range(beta)
-    return 2.0 * beta * beta / math.sqrt(1.0 - beta * beta)
+    return 2.0 * beta * beta / SplitterParams.from_beta(beta).alpha
 
 
 def grandfather_amplitude_ratios(p: GrandfatherParams) -> tuple[float, float, float]:
@@ -147,10 +147,13 @@ def special_case(name: str, seed: int, dim: int = 4):
         g2 = -g1
     net = FeedbackNetwork(g1, g2, m, SplitterParams.from_beta(_LIMIT_BETA[name]))
     expected = -(g2 @ psi) if name == "full-feedback" else g1 @ psi
-    residual = _max_abs(solve_closed_form(net, psi).psi3p - expected)
-    tol = 1e-11
-    checks = [("psi3' matches the exact limit", residual, tol)]
-    return checks, {"residual": residual, "tolerance": tol}
+    return _exact_output_case(net, psi, expected, "psi3' matches the exact limit")
+
+
+def _exact_output_case(net: FeedbackNetwork, psi, expected, label: str):
+    """One check, to 1e-11: psi3' of ``net`` against its exact ``expected`` output."""
+    residual, tol = _max_abs(solve_closed_form(net, psi).psi3p - expected), 1e-11
+    return [(label, residual, tol)], {"residual": residual, "tolerance": tol}
 
 
 def grandfather_case(beta: float, theta: float, phi: float):
@@ -164,8 +167,7 @@ def grandfather_case(beta: float, theta: float, phi: float):
     tol = 1e-10
     checks = [("transmitted matches the lineshape formula", abs(transmitted - analytic), tol)]
     if phi == 0.0:
-        alpha = math.sqrt(1.0 - beta * beta)
-        expected = (0.0, 1.0 / beta, alpha / beta)
+        expected = (0.0, 1.0 / beta, net.splitter.alpha / beta)
         labels = ("|psi1/psi| = 0", "|psi2/psi| = 1/beta", "|psi4/psi| = alpha/beta")
         checks += [
             (label, abs(got - want), tol)
@@ -184,10 +186,7 @@ def undo_case(seed: int, dim: int, beta: float):
     g2 = random_unitary(dim, seed + 1)
     net = build_undo(g1, g2, SplitterParams.from_beta(beta))
     psi = _random_state(seed + 2, dim)
-    residual = _max_abs(solve_closed_form(net, psi).psi3p - g1 @ psi)
-    tol = 1e-11
-    checks = [("psi3' = g1 psi (backward trip cancels the loop)", residual, tol)]
-    return checks, {"residual": residual, "tolerance": tol}
+    return _exact_output_case(net, psi, g1 @ psi, "psi3' = g1 psi (backward trip cancels the loop)")
 
 
 def perturbative_check(g1, g2, m, psi, gamma: float = 1e-4):

@@ -311,12 +311,14 @@ def test_transmission_past_the_float_range_is_inf_at_every_d():
         assert sol.conservation_residual_t2 == math.inf, dim
 
 
-@pytest.mark.parametrize("size", [1e160, 1.3e308])
+@pytest.mark.parametrize("size", [1e160, 1.3e308, 3e-162, 7e-163])
 @pytest.mark.parametrize("gain", [1.0, 1e-10])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_transmission_of_an_input_past_the_float_range_is_finite(dim, gain, size):
     # |psi|^2 overflows: the plain quotient reads inf / inf = NaN at gain 1, 0 at gain 1e-10;
-    # at size 1.3e308 |psi_0| itself is past the float range, though its parts are not
+    # at size 1.3e308 |psi_0| itself is past the float range, though its parts are not.
+    # |psi|^2 underflows to a subnormal at 3e-162, where the quotient loses its bits, and to 0.0
+    # at 7e-163
     net = FeedbackNetwork(gain * np.eye(dim), gain * np.eye(dim), np.zeros((dim, dim)),
                           SplitterParams.from_beta(0.5))
     psi = np.array([1 + 1j, 0.5 - 0.25j])[:dim]
@@ -325,18 +327,36 @@ def test_transmission_of_an_input_past_the_float_range_is_finite(dim, gain, size
     assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+def test_transmission_of_subnormal_entries_is_the_exact_quotient():
+    # a shift to psi_in's largest |entry| alone would need 2^1074, past the largest float
+    sol = solve_closed_form(random_network(52, 2, beta=0.5), normalized_state(53, 2))
+    tiny = 5e-324  # 2^-1074, the smallest subnormal
+    sol = dataclasses.replace(sol, psi_in=np.array([tiny, 0j]), psi3p=np.array([0j, 2j * tiny]))
+    assert transmitted_probability(sol) == 4.0
+
+
 def test_solve_records_a_finite_transmission_for_an_input_past_the_float_range(tmp_path, capsys):
+    # |psi|^2 overflows at 1e160; it underflows to a subnormal at 3e-162 and to 0.0 at 7e-163
+    for size in (1e160, 3e-162, 7e-163):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps({"dim": 1, "g1": "identity", "g2": "identity", "m": "zero",
+                                   "beta": 0.5, "input_state": [{"re": size, "im": size}]}))
+        assert main(["solve", str(cfg), "--no-timestamp"]) == 0
+        from_json = json.loads(capsys.readouterr().out)["transmitted_probability"]
+        assert main(["solve", str(cfg), "--no-timestamp", "--format", "csv"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("transmitted_probability,"))
+        # the same network at input 1 + 1j gives 0.2499999999999999
+        for value in (from_json, float(row.split(",")[2])):
+            assert abs(value - 0.2499999999999999) <= 1e-15, size
+
+
+def test_solve_of_an_all_zero_input_exits_1(tmp_path, capsys):
     cfg = tmp_path / "net.json"
-    cfg.write_text(json.dumps({"dim": 1, "g1": "identity", "g2": "identity", "m": "zero",
-                               "beta": 0.5, "input_state": [{"re": 1e160, "im": 1e160}]}))
-    assert main(["solve", str(cfg), "--no-timestamp"]) == 0
-    from_json = json.loads(capsys.readouterr().out)["transmitted_probability"]
-    assert main(["solve", str(cfg), "--no-timestamp", "--format", "csv"]) == 0
-    row = next(line for line in capsys.readouterr().out.splitlines()
-               if line.startswith("transmitted_probability,"))
-    # the same network at input 1 + 1j gives 0.2499999999999999
-    for value in (from_json, float(row.split(",")[2])):
-        assert abs(value - 0.2499999999999999) <= 1e-15
+    cfg.write_text(json.dumps({"dim": 2, "g1": "identity", "g2": "identity", "m": "zero",
+                               "beta": 0.5, "input_state": [0.0, {"re": -0.0, "im": 0.0}]}))
+    assert main(["solve", str(cfg), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == "error: input_state must have nonzero norm\n"
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -255,6 +255,19 @@ def test_phase_scan_full_window():
     assert result.fwhm_numeric == pytest.approx(0.18869, rel=0.01)
 
 
+@pytest.mark.parametrize("theta", [0.7, -2.9])
+@pytest.mark.parametrize("beta", [0.3, 0.1, 0.03])
+def test_phase_scan_points_are_the_worked_case_networks_bit_for_bit(beta, theta):
+    # the scan builds its networks inline; theta != 0, as g2 = 1 at theta = 0 hides rounding
+    half = math.pi if beta >= 0.1 else 20.0 * predicted_fwhm(beta)
+    points = phase_scan(GrandfatherParams(beta, theta), -half, half, 4001).points
+    peak = int(np.argmax([value for _, value in points]))
+    for k in sorted({*range(0, 4001, 80), peak}):
+        phi, value = points[k]
+        net = build_grandfather(GrandfatherParams(beta, theta, phi))
+        assert value == transmitted_probability(solve_closed_form(net, [1])), (k, phi)
+
+
 def test_phase_scan_small_angle_lorentzian_limit():
     beta = 0.3
     window = beta**2 / 10.0
