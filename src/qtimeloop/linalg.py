@@ -8,11 +8,11 @@ lives at very small d (the worked cases are scalar).
 :func:`invert` needs numpy only. At d=1 it skips array routines, whose
 per-call cost dominates there, and takes 1/z in Python floats. For the
 same reason the finite check of a 1x1 operator or a length-1 state and
-:func:`norm_sq` of a single entry run on Python scalars. The check and
-1/z are bit for bit what the array routines give; a single entry's |z|^2
-is re*re + im*im, which is np.vdot's wherever it is finite. Past the float
-range :func:`norm_sq` of any length sums those squares, so it reads inf at
-every d where np.vdot may give NaN.
+:func:`norm_sq` of a single entry run on Python scalars. 1/z is within 7u
+of the exact reciprocal and a single entry's |z|^2, re*re + im*im, within
+2u of the exact square, each plus what a subnormal result loses (u is the
+unit roundoff, 2^-53). Past the float range :func:`norm_sq` of any length
+sums those squares, so it reads inf at every d where np.vdot may give NaN.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def norm_sq(v) -> float:
 
 
 def _abs_sq(z: complex) -> float:
-    """|z|^2 as re*re + im*im: bit for bit np.vdot's where finite, inf past the float range."""
+    """|z|^2 as re*re + im*im: within 2u of the exact square, inf past the float range."""
     return z.real * z.real + z.imag * z.imag
 
 
@@ -103,8 +103,10 @@ def invert(a) -> tuple[np.ndarray, float]:
     ``condition`` is the exact 1-norm condition number ||A||_1 ||A^-1||_1.
     Raises :class:`SingularMatrixError` on a zero pivot (at d=1: below
     ``PIVOT_FLOOR``), condition ``inf``, or a condition above ``CONDITION_CAP``.
-    d=1 rounds 1/z as LAPACK ``zgetri`` does. d >= 2 is returned in Fortran
-    order, so ``inverse @ v`` takes the gemv kernel the golden files used.
+    d=1 is within 7u of the exact 1/z, except where |z|^2 / max(|re|, |im|)
+    passes the largest double (both parts near 1e308): 1/z, a subnormal
+    there, reads 0. d >= 2 is returned in Fortran order, so ``inverse @ v``
+    takes the gemv kernel the golden files used.
     """
     a = as_operator(a)
     if a.shape[0] == 1:
@@ -122,7 +124,7 @@ def invert(a) -> tuple[np.ndarray, float]:
 
 
 def _invert_scalar(z: complex) -> tuple[complex, float]:
-    """:func:`invert` of the 1 x 1 matrix [z], (1/z, 1.0), with ztrti2's rounding of 1/z."""
+    """:func:`invert` of the 1 x 1 matrix [z]: (1/z, 1.0), 1/z divided by the larger part."""
     ar, ai = z.real, z.imag
     _require_finite(math.isfinite(ar) and math.isfinite(ai), "operator")
     if math.hypot(ar, ai) < PIVOT_FLOOR:

@@ -9,11 +9,12 @@ the closed-form answer without ever forming the denominator inverse.
 
 One loop body runs the recurrence at every d; the dimension picks its
 operands once. At d=1 they are Python ``complex`` scalars, multiplied with
-``operator.mul`` and sized by Python's abs: bit for bit the 1x1 matrix
-loop's iterates, without numpy's per-call dispatch on every traversal. At
-d >= 2 they are arrays, multiplied with ``operator.matmul`` and sized by the
-max-norm. The iterate stays in that arithmetic through the coupler and the
-assembly, which the closed form shares.
+``operator.mul`` and sized by Python's abs, without numpy's per-call
+dispatch on every traversal. At d >= 2 they are arrays, multiplied with
+``operator.matmul`` and sized by the max-norm. A converged iterate is within
+||(I - T)^-1|| (||T|| tol + one traversal's rounding) of the fixed point, in
+the max-norm and its induced norm. The iterate stays in that arithmetic
+through the coupler and the assembly, which the closed form shares.
 """
 
 from __future__ import annotations

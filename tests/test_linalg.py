@@ -1,6 +1,6 @@
 import itertools
 import math
-import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,37 +74,59 @@ def test_invert_zero_pivot_reports_infinite_condition():
         assert exc.value.condition == math.inf
 
 
-# d=1 edge grid: signed zeros, pure real and imaginary values, |re| = |im|
-# ties, scales 1e+-150 and parts near the largest double
-EDGE_PARTS = [sign * size for size in (0.0, 1e-150, 0.5, 1.0, 3.0, 1e150, 1e308, 1.7e308)
-              for sign in (1.0, -1.0)]
-
-
-@pytest.mark.parametrize("dim", [1, 4, 16, 64])
+@pytest.mark.parametrize("dim", [4, 16, 64])
 def test_invert_matches_scipy_lu_reference_bit_for_bit(dim):
-    # At d=1 lu_solve (zgetrs) rounds by the OpenBLAS thread count, so the
-    # reference there is zgetri on the same LU, over many inputs, not one
     sla = pytest.importorskip("scipy.linalg")
-    rng = np.random.default_rng(100 + dim)
-    inputs = [random_complex_matrix(rng, dim) for _ in range(2000 if dim == 1 else 1)]
-    if dim == 1:
-        # the two parts on independent scales, 1e-150 to 1e150
-        parts = rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (2000, 2))
-        pairs = [*parts, *itertools.product(EDGE_PARTS, repeat=2)]
-        inputs += [np.array([[complex(re, im)]]) for re, im in pairs]
-    for a in inputs:
-        if math.hypot(a.real.item(0), a.imag.item(0)) < PIVOT_FLOOR:
-            with pytest.raises(SingularMatrixError):
-                invert(a)
-            continue
-        lu, piv = sla.lu_factor(a)
-        inv, cond = invert(a)
-        if dim == 1:
-            reference, _ = sla.lapack.zgetri(lu, piv)
-        else:
-            reference = sla.lu_solve((lu, piv), np.eye(dim, dtype=complex))
-        assert inv.tobytes() == reference.tobytes()
-        assert cond == (1.0 if dim == 1 else np.linalg.cond(a, 1))
+    a = random_complex_matrix(np.random.default_rng(100 + dim), dim)
+    inv, cond = invert(a)
+    lu, piv = sla.lu_factor(a)
+    assert inv.tobytes() == sla.lu_solve((lu, piv), np.eye(dim, dtype=complex)).tobytes()
+    assert cond == np.linalg.cond(a, 1)
+
+
+U = Fraction(1, 2**53)  # unit roundoff
+
+
+def assert_inverts_to_the_exact_reciprocal(z: complex):
+    """invert([[z]]) raises below PIVOT_FLOOR, else is (1/z, 1.0) within 7u |1/z| plus the
+    underflow floor: divided by the larger part, 1/z rounds 4.5u in its real part, 6.5u in
+    its imaginary part, and a subnormal part loses up to 2^-1075."""
+    if math.hypot(z.real, z.imag) < PIVOT_FLOOR:
+        with pytest.raises(SingularMatrixError):
+            invert([[z]])
+        return
+    inv, cond = invert([[z]])
+    re, im = Fraction(z.real), Fraction(z.imag)
+    square = re * re + im * im
+    gap_re, gap_im = Fraction(inv[0, 0].real) - re / square, Fraction(inv[0, 0].imag) + im / square
+    # |gap| <= 7u |1/z| + 2^-1072 follows from |gap|^2 <= (7u)^2 / |z|^2 + 2^-2144
+    assert gap_re**2 + gap_im**2 <= 49 * U**2 / square + Fraction(1, 2**2144), z
+    assert cond == 1.0
+
+
+def d1_invert_inputs(near_max: bool) -> list[complex]:
+    """Unit-scale draws, parts on independent scales 1e-150 to 1e150, and an edge grid:
+    EDGE_PARTS, +-0.5, +-1, +-3, +-1e+-150 and parts near the largest double. near_max
+    picks those whose parts are both 1e308 or more, else all the others."""
+    rng = np.random.default_rng(101)
+    inputs = [random_complex_matrix(rng, 1).item() for _ in range(2000)]
+    parts = rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (2000, 2))
+    sizes = (0.5, 1.0, 3.0, 1e-150, 1e150, 1e308, 1.7e308)
+    edge = (*EDGE_PARTS, *(sign * size for size in sizes for sign in (1.0, -1.0)))
+    inputs += [complex(re, im) for re, im in (*parts, *itertools.product(edge, repeat=2))]
+    return [z for z in inputs if (min(abs(z.real), abs(z.imag)) >= 1e308) == near_max]
+
+
+def test_invert_at_d1_is_the_exact_reciprocal():
+    for z in d1_invert_inputs(near_max=False):
+        assert_inverts_to_the_exact_reciprocal(z)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="1/z reads 0 where |z|^2 / max(|re|, |im|) overflows; 1/z is ~5e-309")
+def test_invert_at_d1_of_parts_near_the_largest_double():
+    for z in d1_invert_inputs(near_max=True):
+        assert_inverts_to_the_exact_reciprocal(z)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 16, 64])
@@ -290,19 +312,17 @@ def test_as_state_rejects_bad_shapes_and_values():
 
 # ---------------------------------------------------------------- norm_sq of one entry
 
-def vdot_norm_sq(z):
-    arr = np.array([z])
-    return float(np.vdot(arr, arr).real)
-
-
-def assert_norm_sq_is_vdots(z):
-    # past the float range np.vdot's inf or NaN depends on the BLAS kernel; re*re + im*im is inf
-    vdot = vdot_norm_sq(z)
-    expected = struct.pack("<d", vdot if math.isfinite(vdot) else math.inf)
-    for shaped in (z, [z], np.array([z]), np.array([[z]])):
-        got = norm_sq(shaped)
-        assert type(got) is float
-        assert struct.pack("<d", got) == expected, (z, shaped, got)
+def assert_norm_sq_is_the_exact_square(z: complex):
+    """norm_sq of one entry, in any shape, is re^2 + im^2 within 2u plus the underflow floor,
+    or inf where the rounded squares leave the float range."""
+    got = norm_sq(z)
+    for shaped in ([z], np.array([z]), np.array([[z]])):
+        assert type(norm_sq(shaped)) is float and norm_sq(shaped) == got, (z, shaped)
+    exact = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    if got == math.inf:
+        assert exact * (1 + U) ** 2 >= 2**1024 - 2**970, z  # past the largest double, rounded
+    else:
+        assert abs(Fraction(got) - exact) <= 2 * U * (1 + U) * exact + Fraction(1, 2**1074), z
 
 
 # signed zeros, subnormals, the smallest normal, parts whose square leaves the
@@ -314,16 +334,16 @@ EDGE_PARTS = (
 )
 
 
-def test_norm_sq_of_one_entry_is_vdots_bit_for_bit_on_an_edge_grid():
+def test_norm_sq_of_one_entry_is_the_exact_square_on_an_edge_grid():
     for re, im in itertools.product(EDGE_PARTS, repeat=2):
-        assert_norm_sq_is_vdots(complex(re, im))
+        assert_norm_sq_is_the_exact_square(complex(re, im))
 
 
 @settings(max_examples=500, deadline=None)
 @given(re=st.floats(allow_nan=False, allow_infinity=False),
        im=st.floats(allow_nan=False, allow_infinity=False))
-def test_norm_sq_of_one_entry_is_vdots_bit_for_bit_on_random_draws(re, im):
-    assert_norm_sq_is_vdots(complex(re, im))
+def test_norm_sq_of_one_entry_is_the_exact_square_on_random_draws(re, im):
+    assert_norm_sq_is_the_exact_square(complex(re, im))
 
 
 @pytest.mark.parametrize("z", [1e200, complex(1e-10, -1e160), complex(1e308, 1e308)], ids=repr)

@@ -1,15 +1,13 @@
 import cmath
 import math
-import struct
 
+import mpmath
 import numpy as np
 import pytest
 
 from qtimeloop.linalg import SplitterParams, as_state, norm_sq, random_unitary, spectral_radius
 from qtimeloop.network import (
     FeedbackNetwork,
-    _arithmetic,
-    _assemble,
     solve_closed_form,
     transmitted_probability,
     verify_fixed_point,
@@ -155,12 +153,7 @@ def test_update_norm_decays_at_the_spectral_radius_rate():
     radius = spectral_radius(t)
     assert radius < 1.0
     drive = s @ psi
-    psi4 = np.zeros(4, dtype=complex)
-    updates = []
-    for _ in range(60):
-        new = t @ psi4 + drive
-        updates.append(float(np.max(np.abs(new - psi4))))
-        psi4 = new
+    updates = [_iterate(t, drive, 0.0, k)[2] for k in range(1, 61)]  # tol = 0 runs k steps
     ratios = [updates[i + 1] / updates[i] for i in range(len(updates) - 11, len(updates) - 1)]
     for ratio in ratios:
         assert radius / 2 <= ratio <= radius * 2
@@ -248,95 +241,68 @@ WIDE_MAPS = {
 }
 
 
-def reference_loop(t, drive, tol, max_iter):
-    """The traversal sum on numpy arrays at every d: psi4 <- T psi4 + drive from psi4 = 0."""
-    x = np.zeros(drive.shape[0], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            new = t @ x + drive
-            update = float(np.abs(new - x).max())
-            x = new
-            if update <= tol or not math.isfinite(update):
-                break
-    return x, iterations, update, update <= tol
+U = 2.0**-53  # unit roundoff
 
 
-def python_abs(z):
-    try:
-        return abs(z)
-    except OverflowError:  # finite parts, modulus past the float range
-        return math.inf
+def _inf_norm(a) -> float:
+    """The max-norm of a vector, or the matrix norm it induces: the largest row sum."""
+    a = np.abs(np.atleast_1d(a))
+    return float(a.sum(axis=1).max() if a.ndim == 2 else a.max())
 
 
-@pytest.mark.parametrize("case", sorted(D1_MAPS))
-def test_scalar_recurrence_is_bit_equal_to_matrix_loop(case):
-    t, drive, max_iter = D1_MAPS[case]
-    fast = _iterate(t, drive, 1e-12, max_iter)
-    reference = reference_loop(t, drive, 1e-12, max_iter)
-    n = reference[1]
-    previous = reference_loop(t, drive, 0.0, n - 1)[0] if n > 1 else np.zeros(1, complex)
-    # the d=1 iterate is a Python complex; wrapped, it is the matrix loop's 1-vector
-    assert type(fast[0]) is complex
-    assert np.atleast_1d(fast[0]).dtype == reference[0].dtype
-    assert np.atleast_1d(fast[0]).tobytes() == reference[0].tobytes()
-    assert fast[1] == n
-    # the update is Python's |x_n - x_(n-1)|, which may differ from numpy's in the last bit
-    expected = python_abs(complex(reference[0][0]) - complex(previous[0]))
-    assert struct.pack("<d", fast[2]) == struct.pack("<d", expected)
-    assert fast[3] == reference[3]
+def exact_fixed_point(t, drive):
+    """(x, ||(I - T)^-1||) for x = T x + drive: the closed form of the map at 50 digits,
+    from the float T and drive."""
+    with mpmath.workdps(50):
+        inverse = mpmath.inverse(mpmath.eye(t.shape[0]) - mpmath.matrix(t.tolist()))
+        x = inverse * mpmath.matrix(drive.tolist())
+        return [complex(v) for v in x], float(mpmath.mnorm(inverse, "inf"))
+
+
+def max_gap(got, want) -> float:
+    return max(abs(complex(z) - w) for z, w in zip(np.atleast_1d(got), want))
+
+
+def step_rounding(t, x, drive) -> float:
+    """A bound on the rounding of one traversal x <- T x + drive, in the max-norm."""
+    return 4 * (t.shape[0] + 2) * U * (_inf_norm(t) * _inf_norm(x) + _inf_norm(drive))
+
+
+MAPS = {**D1_MAPS, **WIDE_MAPS}
+
+
+@pytest.mark.parametrize("case", sorted(MAPS))
+def test_traversal_sum_meets_the_closed_form_of_its_map(case):
+    t, drive, max_iter = MAPS[case]
+    tol = 1e-12
+    psi4, iterations, update, converged = _iterate(t, drive, tol, max_iter)
+    assert converged == (update <= tol)
+    if converged:
+        # x - psi4 = (I - T)^-1 (T (psi4 - previous) - last rounding), so the truncation
+        # is at most ||(I - T)^-1|| ||T|| tol
+        x, inverse_norm = exact_fixed_point(t, drive)
+        bound = inverse_norm * (_inf_norm(t) * tol + step_rounding(t, psi4, drive))
+        assert max_gap(psi4, x) <= bound
+    elif iterations == max_iter:
+        # a spent budget; test_partial_sums_equal_truncated_geometric_series checks its sums
+        assert tol < update < math.inf
+    else:  # an iterate or its modulus left the float range; the step before was finite
+        assert update == math.inf
+        assert _iterate(t, drive, 0.0, iterations - 1)[2] < math.inf
 
 
 def test_scalar_recurrence_stops_at_the_first_step_within_tol():
-    # a tol equal to a reported update, or one ulp either side of it
+    # a tol equal to a reported update, or one ulp either side of it; tol = 0 runs k steps
     t, drive, _ = D1_MAPS["grandfather-beta0.1"]
-    t_scalar, c = complex(t[0, 0]), complex(drive[0])
-    steps, x = [], 0j
-    for _ in range(100):
-        new = t_scalar * x + c
-        steps.append(abs(new - x))
-        x = new
-    for k in range(1, 40):
-        edge = _iterate(t, drive, 0.0, k)[2]
+    steps = [_iterate(t, drive, 0.0, k)[1:3] for k in range(1, 101)]
+    assert [k for k, _ in steps] == list(range(1, 101))
+    updates = [update for _, update in steps]
+    for edge in updates[:39]:
         for tol in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
             psi4, iterations, update, converged = _iterate(t, drive, tol, 100)
-            first = next(n for n, step in enumerate(steps, 1) if step <= tol)
-            assert (iterations, update, converged) == (first, steps[first - 1], True)
-            expected = reference_loop(t, drive, -1.0, first)[0]
-            assert np.atleast_1d(psi4).dtype == expected.dtype
-            assert np.atleast_1d(psi4).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("case", sorted(WIDE_MAPS))
-def test_matrix_recurrence_is_bit_equal_to_the_reference_loop(case):
-    t, drive, max_iter = WIDE_MAPS[case]
-    psi4, iterations, update, converged = _iterate(t, drive, 1e-12, max_iter)
-    reference = reference_loop(t, drive, 1e-12, max_iter)
-    assert psi4.dtype == reference[0].dtype
-    assert psi4.tobytes() == reference[0].tobytes()
-    assert iterations == reference[1]
-    assert struct.pack("<d", update) == struct.pack("<d", reference[2])
-    assert converged == reference[3]
-
-
-def array_tail_solution(net, psi):
-    """The oracle's answer with its tail on arrays, as it was written before the
-    d=1 iterate stayed a Python complex: the iterate wrapped in a 1-vector, the
-    early coupler as array operations, then all six operands converted to the
-    dimension's arithmetic for the shared assembly."""
-    psi = as_state(psi, net.dim)
-    t, s = loop_map(net)
-    psi4 = np.atleast_1d(_iterate(t, s @ psi, 1e-12, 1_000_000)[0])
-    a, b = net.splitter.alpha, net.splitter.beta
-    psi1, psi2 = a * psi - 1j * b * psi4, a * psi4 - 1j * b * psi
-    arithmetic = _arithmetic(net.dim)
-    operands = map(arithmetic[0], (net.g1, net.g2, psi, psi1, psi2, psi4))
-    return _assemble(net, arithmetic, *operands, None)
-
-
-def _solution_bits(sol):
-    vectors = (sol.psi_in, sol.psi1, sol.psi2, sol.psi4, sol.psi1p, sol.psi2p, sol.psi3p, sol.psi4p)
-    residuals = struct.pack("<2d", sol.conservation_residual_t1, sol.conservation_residual_t2)
-    return [(v.dtype, v.shape, v.tobytes()) for v in vectors], residuals, sol.denom_condition
+            first = next(n for n, step in enumerate(updates, 1) if step <= tol)
+            assert (iterations, update, converged) == (first, updates[first - 1], True)
+            assert psi4 == _iterate(t, drive, 0.0, first)[0]
 
 
 TAIL_CASES = {
@@ -365,10 +331,20 @@ TAIL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(TAIL_CASES))
-def test_oracle_solution_is_bit_equal_to_the_array_tail(case):
+def test_oracle_solution_meets_the_closed_form_and_the_fixed_point(case):
     net, psi = TAIL_CASES[case]
-    sol, _ = solve_by_iteration(net, psi)
-    assert _solution_bits(sol) == _solution_bits(array_tail_solution(net, psi))
+    tol = 1e-12
+    sol, _ = solve_by_iteration(net, psi, tol=tol)
+    t, s = loop_map(net)
+    drive = s @ as_state(psi, net.dim)
+    x, inverse_norm = exact_fixed_point(t, drive)
+    truncation = _inf_norm(t) * tol
+    assert max_gap(sol.psi4, x) <= inverse_norm * (truncation + step_rounding(t, sol.psi4, drive))
+    # the tail derives every other amplitude from psi4; verify_fixed_point re-derives them
+    scale = (1 + _inf_norm(net.m)) * (1 + _inf_norm(net.g1) + _inf_norm(net.g2))
+    rounding = 8 * (net.dim + 2) * U * scale * (_inf_norm(sol.psi_in) + _inf_norm(sol.psi4))
+    assert verify_fixed_point(net, sol) <= truncation + rounding
+    assert np.array_equal(sol.psi_in, as_state(psi, net.dim)) and sol.denom_condition is None
 
 
 # The d=1 oracle's traversal counts on the grandfather loop; theta cancels out

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,30 +291,36 @@ def test_width_out_of_regime_reads_the_five_percent_verdict():
     assert not phase_scan(GrandfatherParams(beta=0.3), -0.01, 0.01, 101).width_out_of_regime
 
 
-def _walked_crossing(x, y, start, step, half):
-    """Reference: the half-level crossing found by walking outward from the peak."""
-    inner = start
-    i = start + step
-    while 0 <= i < len(y):
-        if y[i] <= half:
-            x0, y0 = x[inner], y[inner]
-            x1, y1 = x[i], y[i]
-            if y1 == y0:
-                return float(x1)
-            return float(x0 + (half - y0) * (x1 - x0) / (y1 - y0))
-        inner = i
-        i += step
-    return None
+U = Fraction(1, 2**53)  # unit roundoff
 
 
-def _walked_fwhm(x, y):
-    peak = int(np.argmax(y))
-    half = float(y[peak]) / 2.0
-    left = _walked_crossing(x, y, peak, -1, half)
-    right = _walked_crossing(x, y, peak, +1, half)
-    if left is None or right is None:
+def exact_half_maximum_width(x, y):
+    """(width, bound, segments) of the piecewise-linear curve through (x, y), in exact
+    fractions; None for a curve with a NaN sample or a side without a crossing.
+
+    Outward from the first maximum, a side's crossing lies on the segment (x0, y0, x1, y1)
+    from its first sample at or below half the maximum, (x1, y1), to that sample's inner
+    neighbour; on a flat segment it is x1. The float width may round 9u of each crossing's
+    terms, plus what rounding half of a subnormal peak (2^-1075) moves it and a subnormal
+    quotient loses: the bound."""
+    if any(map(math.isnan, y)):
         return None
-    return right - left
+    peak = y.index(max(y))
+    half = Fraction(y[peak]) / 2
+    sides = (range(peak - 1, -1, -1), range(peak + 1, len(y)))
+    outer = [next((i for i in side if y[i] <= half), None) for side in sides]
+    if None in outer:
+        return None
+    ends, bound, segments = [], 0, []
+    for i, inner in zip(outer, (outer[0] + 1, outer[1] - 1)):
+        x0, y0, x1, y1 = segment = tuple(map(Fraction, (x[inner], y[inner], x[i], y[i])))
+        step = 0 if y1 == y0 else (half - y0) * (x1 - x0) / (y1 - y0)
+        ends.append(x1 if y1 == y0 else x0 + step)
+        bound += 9 * U * (abs(x0) + abs(x1) + abs(step))
+        if y1 != y0:
+            bound += (abs(x1 - x0) / abs(y1 - y0) + 4) / 2**1075
+        segments.append(segment)
+    return ends[1] - ends[0], bound, segments
 
 
 @st.composite
@@ -336,11 +343,33 @@ def _curves(draw):
 @example(([0.0, 1.0, 2.0], np.array([0.1, 0.4, 1.0])))
 @example(([0.0, 1.0, 2.0, 3.0], np.array([0.1, math.nan, 1.0, 0.2])))
 @example(([-1e300, 0.0, 1e300], np.array([1e-300, 3e-300, 1e-300])))
-def test_interpolated_fwhm_matches_an_outward_walk(curve):
+def test_interpolated_fwhm_meets_the_exact_crossings(curve):
     x, y = curve
     with np.errstate(all="ignore"):
-        got, want = _interpolated_fwhm(x, y), _walked_fwhm(x, y)
-    assert repr(got) == repr(want)
+        got = _interpolated_fwhm(x, y)
+    exact = exact_half_maximum_width(x, y.tolist())
+    if exact is None:
+        assert got is None
+        return
+    width, bound, segments = exact
+    # Skipped: a curve where the float product (half - y0)(x1 - x0) of an interpolation
+    # overflows or underflows, so that the width loses its bits (the strict xfail below)
+    half = float(np.max(y)) / 2.0
+    products = [(half - float(y0)) * float(x1 - x0) for x0, y0, x1, y1 in segments if y1 != y0]
+    if all(2.0**-1022 <= abs(product) < math.inf for product in products):
+        assert abs(Fraction(got) - width) <= bound
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the interpolation's "
+                   "(half - y0)(x1 - x0) leaves the float range before the division brings it back")
+@pytest.mark.parametrize("x, y, width", [
+    ([-1e300, 0.0, 1e300], [0.5e300, 2e300, 0.5e300], Fraction(4, 3) * Fraction(1e300)),
+    ([0.0, 1e-300, 2e-300], [0.25e-300, 1e-300, 0.25e-300], Fraction(4, 3) * Fraction(1e-300)),
+], ids=["overflow", "underflow"])
+def test_interpolated_fwhm_of_a_product_past_the_float_range(x, y, width):
+    with np.errstate(over="ignore"):
+        got = _interpolated_fwhm(x, np.array(y))
+    assert math.isfinite(got) and abs(Fraction(got) - width) <= 4 * U * width
 
 
 def test_phase_scan_validates_range():
