@@ -331,7 +331,7 @@ TAIL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(TAIL_CASES))
-def test_oracle_solution_meets_the_closed_form_and_the_fixed_point(case):
+def test_oracle_solution_meets_the_exact_fixed_point(case):
     net, psi = TAIL_CASES[case]
     tol = 1e-12
     sol, _ = solve_by_iteration(net, psi, tol=tol)
