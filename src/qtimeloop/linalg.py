@@ -103,10 +103,9 @@ def invert(a) -> tuple[np.ndarray, float]:
     ``condition`` is the exact 1-norm condition number ||A||_1 ||A^-1||_1.
     Raises :class:`SingularMatrixError` on a zero pivot (at d=1: below
     ``PIVOT_FLOOR``), condition ``inf``, or a condition above ``CONDITION_CAP``.
-    d=1 is within 7u of the exact 1/z, except where |z|^2 / max(|re|, |im|)
-    passes the largest double (both parts near 1e308): 1/z, a subnormal
-    there, reads 0. d >= 2 is returned in Fortran order, so ``inverse @ v``
-    takes the gemv kernel the golden files used.
+    d=1 is within 7u of the exact 1/z, plus the underflow floor where 1/z is
+    subnormal. d >= 2 is returned in Fortran order, so ``inverse @ v`` takes
+    the gemv kernel the golden files used.
     """
     a = as_operator(a)
     if a.shape[0] == 1:
@@ -131,7 +130,9 @@ def _invert_scalar(z: complex) -> tuple[complex, float]:
         raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf)
     swap = abs(ai) > abs(ar)  # divide by the larger part, as ztrti2 does
     ratio = ar / ai if swap else ai / ar
-    den = 1.0 / ((ai if swap else ar) * (1.0 + ratio * ratio))
+    large, factor = (ai if swap else ar), 1.0 + ratio * ratio
+    product = large * factor  # inf near the largest double: then formed from half of large
+    den = 1.0 / product if abs(product) < math.inf else 0.5 / (0.5 * large * factor)
     return (complex(ratio * den, -den) if swap else complex(den, -ratio * den)), 1.0
 
 

@@ -4,12 +4,13 @@ A network couples the input amplitude to a loop that carries part of the
 late-time output backwards through the propagator ``m``; ``g1`` and ``g2``
 are the two competing forward channels between the couplers. The closed
 form inverts the loop denominator (1 + beta^2 M G1 - alpha^2 M G2) once
-and reads every internal amplitude off it. Its formulas are written once and
-run on numpy arrays at d >= 2 and on Python ``complex`` at d=1, without
-numpy's per-call cost. At d=1 every amplitude lies within a running error
-bound of the same formulas evaluated at 50 digits from the same floats. The
-oracle shares that arithmetic and the assembly. States are checked where they
-enter; the coupler inside runs unchecked.
+and reads every internal amplitude off it. ``_arithmetic`` alone picks, by
+dimension, what the closed form, the oracle's loop and their shared assembly
+run on: Python ``complex`` at d=1, without numpy's per-call cost, whose
+products keep IEEE signed zeros; numpy arrays at d >= 2, whose sums start at
++0.0. At d=1 every amplitude lies within a running error bound of the same
+formulas evaluated at 50 digits from the same floats. States are checked
+where they enter; the coupler inside runs unchecked.
 """
 
 from __future__ import annotations
@@ -91,17 +92,13 @@ class NetworkSolution:
     conservation_residual_t2: float
 
 
-def _scalar_product(x, y):
-    """[x] @ [y] on Python complex: numpy's sum starts at +0.0 and so turns a -0.0 into +0.0."""
-    return 0j + x * y
-
-
 def _arithmetic(dim: int):
-    """The closed form's (to native, identity, product, inverse, squared norm, finite test)."""
+    """Both solvers' (to native, identity, product, inverse, squared norm, finite test, size)."""
     if dim == 1:
-        return np.ndarray.item, 1, _scalar_product, _invert_scalar, _abs_sq, cmath.isfinite
+        return np.ndarray.item, 1, operator.mul, _invert_scalar, _abs_sq, cmath.isfinite, abs
     # invert and norm_sq are looked up per call, so a rebinding of either applies here
-    return np.asarray, np.eye(dim, dtype=complex), operator.matmul, invert, norm_sq, _all_finite
+    return (np.asarray, np.eye(dim, dtype=complex), operator.matmul, invert, norm_sq,
+            _all_finite, _max_abs)
 
 
 def _all_finite(v) -> bool:
@@ -110,7 +107,7 @@ def _all_finite(v) -> bool:
 
 def _assemble(net, arithmetic, g1, g2, psi, psi1, psi2, psi4, denom_condition):
     """Derive the late-time amplitudes and conservation diagnostics in ``arithmetic``."""
-    _, _, mul, _, norm, finite = arithmetic
+    _, _, mul, _, norm, finite, _ = arithmetic
     psi1p, psi2p = mul(g1, psi1), mul(g2, psi2)
     _require_finite(finite(psi1p) and finite(psi2p), "state")  # _couple checks nothing
     psi3p, psi4p = _couple(net.splitter, psi1p, psi2p)
@@ -134,7 +131,7 @@ def solve_closed_form(net: FeedbackNetwork, psi) -> NetworkSolution:
     :class:`SingularDenominatorError` when D cannot be formed; that is a
     physical resonance, not something to regularize away.
     """
-    arithmetic = native, eye, mul, inverse, _, _ = _arithmetic(net.dim)
+    arithmetic = native, eye, mul, inverse, *_ = _arithmetic(net.dim)
     m, g1, g2, psi = map(native, (net.m, net.g1, net.g2, as_state(psi, net.dim)))
     a, b = net.splitter.alpha, net.splitter.beta
     mg1, mg2 = mul(m, g1), mul(m, g2)

@@ -7,26 +7,23 @@ Iterating from psi4 = 0 adds one loop traversal per step, so the partial
 sums are truncated geometric series and the converged iterate certifies
 the closed-form answer without ever forming the denominator inverse.
 
-One loop body runs the recurrence at every d; the dimension picks its
-operands once. At d=1 they are Python ``complex`` scalars, multiplied with
-``operator.mul`` and sized by Python's abs, without numpy's per-call
-dispatch on every traversal. At d >= 2 they are arrays, multiplied with
-``operator.matmul`` and sized by the max-norm. A converged iterate is within
-||(I - T)^-1|| (||T|| tol + one traversal's rounding) of the fixed point, in
-the max-norm and its induced norm. The iterate stays in that arithmetic
-through the coupler and the assembly, which the closed form shares.
+One loop body runs the recurrence at every d, in the arithmetic that
+``network._arithmetic`` picks for the closed form: Python ``complex`` sized by
+``abs`` at d=1, numpy arrays sized by the max-norm at d >= 2. A converged
+iterate is within ||(I - T)^-1|| (||T|| tol + one traversal's rounding) of the
+fixed point, in the max-norm and its induced norm. The iterate stays in that
+arithmetic through the coupler and the assembly, which the closed form shares.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _couple, _max_abs, as_state, spectral_radius
+from .linalg import _couple, as_state, spectral_radius
 from .network import FeedbackNetwork, NetworkSolution, _arithmetic, _assemble
 
 DEFAULT_TOL = 1e-12
@@ -62,10 +59,8 @@ def loop_map(net: FeedbackNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 def _iterate(t, drive, tol, max_iter):
     """psi4 <- T psi4 + drive from psi4 = 0; returns (psi4, iterations, update, converged)."""
-    if drive.shape[0] == 1:
-        t, x, c, mul, size = complex(t[0, 0]), 0j, complex(drive[0]), operator.mul, abs
-    else:
-        x, c, mul, size = np.zeros(drive.shape[0], dtype=complex), drive, operator.matmul, _max_abs
+    native, _, mul, _, _, _, size = _arithmetic(drive.shape[0])
+    t, x, c = native(t), native(np.zeros_like(drive)), native(drive)
     inf = math.inf
     # an expanding loop overflows in its last step; the radius warning and the error say so
     with np.errstate(over="ignore", invalid="ignore"):

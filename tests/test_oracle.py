@@ -347,6 +347,15 @@ def test_oracle_solution_meets_the_exact_fixed_point(case):
     assert np.array_equal(sol.psi_in, as_state(psi, net.dim)) and sol.denom_condition is None
 
 
+def test_d1_products_keep_the_ieee_signed_zero_in_both_solvers():
+    # psi1' = g1 psi1 = 0 * (-0.69...) is -0.0 in IEEE arithmetic; a sum from +0.0 reads +0.0
+    net = FeedbackNetwork([[0.0]], [[0.5]], [[1.0]], SplitterParams.from_beta(0.5))
+    closed = solve_closed_form(net, [-1.0])
+    iterated, _ = solve_by_iteration(net, [-1.0])
+    for sol in (closed, iterated):
+        assert sol.psi1p[0] == 0 and math.copysign(1.0, sol.psi1p[0].real) == -1.0
+
+
 # The d=1 oracle's traversal counts on the grandfather loop; theta cancels out
 # of them. The change that replaces the one-traversal loop (ROADMAP item 5)
 # re-pins these, with old -> new counts in CHANGES.md.
