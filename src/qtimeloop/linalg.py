@@ -130,9 +130,10 @@ def _invert_scalar(z: complex) -> tuple[complex, float]:
         raise SingularMatrixError("matrix is singular (zero pivot)", condition=math.inf)
     swap = abs(ai) > abs(ar)  # divide by the larger part, as ztrti2 does
     ratio = ar / ai if swap else ai / ar
-    large, factor = (ai if swap else ar), 1.0 + ratio * ratio
-    product = large * factor  # inf near the largest double: then formed from half of large
-    den = 1.0 / product if abs(product) < math.inf else 0.5 / (0.5 * large * factor)
+    # Halving keeps large * (1 + ratio**2) finite near the largest double. It is
+    # exact above PIVOT_FLOOR / sqrt(2), so den has ztrti2's 1 / (large * ...) bits
+    # wherever that product is finite.
+    den = 0.5 / (0.5 * (ai if swap else ar) * (1.0 + ratio * ratio))
     return (complex(ratio * den, -den) if swap else complex(den, -ratio * den)), 1.0
 
 
