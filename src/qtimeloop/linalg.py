@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small two-port coupler networks.
 
-Everything operates on plain numpy ``complex128`` arrays and is pure:
-inputs are validated, never mutated, and every function returns fresh
-values. Dimensions are capped at ``DIM_CAP``; the interesting physics
-lives at very small d (the worked cases are scalar).
+Input arrays are read as numpy ``complex128`` in C order and never mutated.
+:func:`as_operator` and :func:`as_state` return C-ordered complex input itself;
+every other function returns fresh values. Dimensions are capped at
+``DIM_CAP``; the interesting physics lives at very small d.
 
 :func:`invert` needs numpy only. At d=1 it skips array routines, whose
 per-call cost dominates there, and takes 1/z in Python floats. For the
@@ -41,7 +41,7 @@ class SingularMatrixError(Exception):
 
 def as_operator(a, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite square complex matrix, checking dimensions."""
-    arr = np.asarray(a, dtype=complex)
+    arr = np.asarray(a, dtype=complex, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {arr.shape}")
     return _checked(arr, "operator", dim)
@@ -49,7 +49,7 @@ def as_operator(a, dim: int | None = None) -> np.ndarray:
 
 def as_state(v, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite complex amplitude vector, checking dimensions."""
-    arr = np.asarray(v, dtype=complex)
+    arr = np.asarray(v, dtype=complex, order="C")
     if arr.ndim != 1:
         raise ValueError(f"state must be a 1-d vector, got shape {arr.shape}")
     return _checked(arr, "state", dim)
@@ -73,7 +73,7 @@ def _require_finite(finite: bool, kind: str) -> None:
 
 def norm_sq(v) -> float:
     """Squared Euclidean norm sum_i |v_i|^2."""
-    arr = np.asarray(v, dtype=complex)
+    arr = np.asarray(v, dtype=complex, order="C")
     if arr.size == 1:
         return _abs_sq(arr.item())
     total = float(np.vdot(arr, arr).real)

@@ -49,7 +49,7 @@ class SingularDenominatorError(SingularMatrixError):
 
 @dataclass(frozen=True)
 class FeedbackNetwork:
-    """One complete problem instance; operators are copied and frozen on entry."""
+    """One complete problem instance; operators are copied in C order and frozen on entry."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -60,7 +60,7 @@ class FeedbackNetwork:
     def __post_init__(self):
         d = None  # g1 sets the dimension of g2 and m
         for name in ("g1", "g2", "m"):
-            op = as_operator(getattr(self, name), d).copy(order="K")  # C or Fortran, as given
+            op = as_operator(getattr(self, name), d).copy()
             op.setflags(write=False)
             object.__setattr__(self, name, op)
             d = op.shape[0]

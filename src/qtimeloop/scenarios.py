@@ -259,8 +259,8 @@ def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: i
         raise ValueError("need at least 3 points")
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)) or phi_min >= phi_max:
         raise ValueError("invalid range: need finite phi_min < phi_max")
+    _check_range(p.beta, phi_max - phi_min)  # a finite width gives finite samples
     phis = np.linspace(phi_min, phi_max, n_points).tolist()
-    _check_range(p.beta, *phis)  # phi_max - phi_min can overflow
     base = build_grandfather(p)  # g1, g2 and the coupler every point shares
     g1, g2, splitter, unit = base.g1, base.g2, base.splitter, np.ones(1, dtype=complex)
     nets = (FeedbackNetwork(g1, g2, _backward_leg(p.theta, phi), splitter) for phi in phis)

@@ -376,6 +376,19 @@ def test_scan_non_finite_range_exits_1(capsys):
     assert "invalid range" in capsys.readouterr().err
 
 
+def test_scan_window_wider_than_the_float_range_exits_1_with_one_error_line():
+    # a subprocess, so a numpy warning would reach stderr as a user sees it
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtimeloop", "scan", "--beta", "0.3",
+         "--phi-min=-1e308", "--phi-max=1e308", "--points", "11"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: theta and phi must be finite\n"
+
+
 def test_scan_too_few_points_exits_1(capsys):
     assert main(["scan", "--beta", "0.5", "--points", "2"]) == 1
 

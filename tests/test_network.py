@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtimeloop.cli import main
-from qtimeloop.linalg import SplitterParams, as_operator, as_state, norm_sq, random_unitary
+from qtimeloop.linalg import (
+    SplitterParams,
+    as_operator,
+    as_state,
+    invert,
+    norm_sq,
+    random_unitary,
+    spectral_radius,
+)
 from qtimeloop.network import (
     FeedbackNetwork,
     SingularDenominatorError,
@@ -18,6 +27,7 @@ from qtimeloop.network import (
     transmitted_probability,
     verify_fixed_point,
 )
+from qtimeloop.oracle import solve_by_iteration
 from qtimeloop.scenarios import build_undo
 
 
@@ -56,24 +66,68 @@ def test_network_operators_are_frozen_copies():
         net.g1[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("dim", [1, 3])
-def test_network_copies_keep_the_memory_order_and_are_read_only(dim):
-    g = np.ascontiguousarray(random_unitary(dim, 0))
-    m = np.asfortranarray(random_unitary(dim, 1))
-    net = FeedbackNetwork(g, g, m, SplitterParams.from_beta(0.5))
-    assert net.g1.flags.c_contiguous and net.g2.flags.c_contiguous
-    assert net.m.flags.f_contiguous
-    assert net.m.flags.c_contiguous == (dim == 1)
-    for op in (net.g1, net.g2, net.m):
-        assert not op.flags.writeable
-        with pytest.raises(ValueError):
-            op[0, 0] = 5.0
+# the same values in the layouts a caller can hand over
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    "reversed": lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
+}
 
 
-def test_undo_network_keeps_the_fortran_order_of_its_inverse():
-    # m = -g1^-1 comes from invert in Fortran order; m @ v takes the gemv kernel the goldens used
-    net = build_undo(random_unitary(4, 0), random_unitary(4, 1), SplitterParams.from_beta(0.3))
-    assert net.m.flags.f_contiguous and not net.m.flags.c_contiguous
+def strided(v, step):
+    """The entries of v as a view that steps ``step`` entries through memory."""
+    spaced = np.zeros(3 * len(v), dtype=complex)
+    spaced[::step] = v
+    return spaced[::step]
+
+
+def bits(value):
+    """The bytes of a value's entries in C order: equal bits, equal bytes (None stays None)."""
+    return None if value is None else np.ascontiguousarray(value).tobytes()
+
+
+def solution_bits(sol):
+    return [bits(getattr(sol, f.name)) for f in dataclasses.fields(sol)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_network_copies_are_c_ordered_and_read_only(dim):
+    g, m = random_unitary(dim, 0), random_unitary(dim, 1)
+    splitter = SplitterParams.from_beta(0.5)
+    given = FeedbackNetwork(g, LAYOUTS["reversed"](g), np.asfortranarray(m), splitter)
+    # the undo network's m = -g1^-1 comes from invert in Fortran order
+    for net in (given, build_undo(g, m, splitter)):
+        for op in (net.g1, net.g2, net.m):
+            assert op.flags.c_contiguous and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 16, 64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_results_do_not_depend_on_the_memory_layout_of_the_operands(layout, dim):
+    # bit-identical to the same values in C order, with the states as views of stride 3 and -3
+    reorder, splitter = LAYOUTS[layout], SplitterParams.from_beta(0.3)
+    for seed, step in itertools.product(range(3), (3, -3)):
+        g1, g2, m = (random_unitary(dim, 3 * seed + k) for k in range(3))
+        m = 0.5 * m  # a loop radius of at most 1/2, so the oracle converges in a few dozen steps
+        psi = normalized_state(seed, dim)
+        net = FeedbackNetwork(g1, g2, m, splitter)
+        other = FeedbackNetwork(reorder(g1), reorder(g2), reorder(m), splitter)
+        ref = solve_closed_form(net, psi)
+        assert solution_bits(solve_closed_form(other, strided(psi, step))) == solution_bits(ref)
+        sol, report = solve_by_iteration(other, strided(psi, step))
+        ref_sol, ref_report = solve_by_iteration(net, psi)
+        assert solution_bits(sol) == solution_bits(ref_sol) and report == ref_report
+        vectors = {f: strided(getattr(ref, f), step) for f in VECTOR_FIELDS}
+        spread = dataclasses.replace(ref, **vectors)
+        assert bits(verify_fixed_point(other, spread)) == bits(verify_fixed_point(net, ref))
+        assert bits(transmitted_probability(spread)) == bits(transmitted_probability(ref))
+        for f, v in vectors.items():
+            assert bits(norm_sq(v)) == bits(norm_sq(getattr(ref, f)))
+        for op in (g1, g2, m):
+            assert list(map(bits, invert(reorder(op)))) == list(map(bits, invert(op)))
+            assert bits(spectral_radius(reorder(op))) == bits(spectral_radius(op))
 
 
 @pytest.mark.parametrize("passed_read_only", [False, True])
