@@ -30,7 +30,7 @@ from .network import (
     verify_fixed_point,
 )
 from .oracle import NotConvergedError, solve_by_iteration
-from .scenarios import GrandfatherParams, grandfather_amplitude_ratios, phase_scan
+from .scenarios import phase_scan
 
 __version__ = "0.1.0"
 
@@ -38,11 +38,9 @@ __version__ = "0.1.0"
 # everything else is imported from its submodule, e.g. qtimeloop.linalg.invert
 __all__ = [
     "FeedbackNetwork",
-    "GrandfatherParams",
     "NotConvergedError",
     "SingularDenominatorError",
     "SplitterParams",
-    "grandfather_amplitude_ratios",
     "phase_scan",
     "random_unitary",
     "solve_by_iteration",

@@ -36,7 +36,6 @@ from .oracle import DEFAULT_MAX_ITER, DEFAULT_TOL, NotConvergedError, solve_by_i
 from .records import build_run_record, csv_pieces, json_pieces
 from .scenarios import (
     SPECIAL_CASES,
-    GrandfatherParams,
     grandfather_case,
     grandfather_transmission,
     perturbative_case,
@@ -139,8 +138,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    params = GrandfatherParams(beta=args.beta, theta=args.theta)
-    result = phase_scan(params, args.phi_min, args.phi_max, args.points)
+    result = phase_scan(args.beta, args.phi_min, args.phi_max, args.points, theta=args.theta)
     _write_output(_scan_lines(result, args.beta), args.out)
 
     if args.svg:

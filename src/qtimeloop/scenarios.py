@@ -30,25 +30,7 @@ from .linalg import (
     norm_sq,
     random_unitary,
 )
-from .network import FeedbackNetwork, NetworkSolution, solve_closed_form, transmitted_probability
-
-
-@dataclass(frozen=True)
-class GrandfatherParams:
-    """Parameters of the blocked-forward-channel setup.
-
-    beta is the coupler cross amplitude, theta the dynamical phase
-    accumulated between the couplers, and phi the extra phase picked up on
-    the backward leg. theta cancels out of every observable; it is kept
-    explicit because that cancellation is itself worth regression-testing.
-    """
-
-    beta: float
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        _check_range(self.beta, self.theta, self.phi)
+from .network import FeedbackNetwork, solve_closed_form, transmitted_probability
 
 
 def _check_range(beta: float, *phases: float) -> None:
@@ -61,15 +43,20 @@ def _check_range(beta: float, *phases: float) -> None:
         raise ValueError("theta and phi must be finite")
 
 
-def build_grandfather(p: GrandfatherParams) -> FeedbackNetwork:
+def build_grandfather(beta: float, theta: float = 0.0, phi: float = 0.0) -> FeedbackNetwork:
     """d=1 network with the forward channel blocked (g1 = 0).
 
-    g2 = e^{-i theta} is plain phase evolution and m = e^{+i(theta + phi)}
-    undoes it on the way back up to the extra phase phi, so m g2 = e^{i phi}.
+    beta is the coupler cross amplitude, theta the dynamical phase
+    accumulated between the couplers, and phi the extra phase picked up on
+    the backward leg. g2 = e^{-i theta} is plain phase evolution and
+    m = e^{+i(theta + phi)} undoes it on the way back up to phi, so
+    m g2 = e^{i phi}. theta cancels out of every observable; it is kept
+    explicit because that cancellation is itself worth regression-testing.
     """
+    _check_range(beta, theta, phi)
     g1 = np.zeros((1, 1), dtype=complex)
-    g2 = np.array([[cmath.exp(-1j * p.theta)]])
-    return FeedbackNetwork(g1, g2, _backward_leg(p.theta, p.phi), SplitterParams.from_beta(p.beta))
+    g2 = np.array([[cmath.exp(-1j * theta)]])
+    return FeedbackNetwork(g1, g2, _backward_leg(theta, phi), SplitterParams.from_beta(beta))
 
 
 def _backward_leg(theta: float, phi: float) -> np.ndarray:
@@ -88,20 +75,6 @@ def predicted_fwhm(beta: float) -> float:
     """Small-coupling width 2 beta^2 / alpha of the transmission peak."""
     _check_range(beta)
     return 2.0 * beta * beta / SplitterParams.from_beta(beta).alpha
-
-
-def grandfather_amplitude_ratios(p: GrandfatherParams) -> tuple[float, float, float]:
-    """(|psi1|, |psi2|, |psi4|) / |psi| from a full solve.
-
-    At phi = 0 these come out as (0, 1/beta, alpha/beta): the loop runs a
-    current much larger than the input while both coupler balances hold.
-    """
-    return _amplitude_ratios(solve_closed_form(build_grandfather(p), np.ones(1, dtype=complex)))
-
-
-def _amplitude_ratios(sol: NetworkSolution) -> tuple[float, float, float]:
-    """(|psi1|, |psi2|, |psi4|) of a solve whose input is the unit [1]."""
-    return tuple(math.sqrt(norm_sq(v)) for v in (sol.psi1, sol.psi2, sol.psi4))
 
 
 def build_undo(g1, g2, splitter: SplitterParams) -> FeedbackNetwork:
@@ -159,9 +132,9 @@ def _exact_output_case(net: FeedbackNetwork, psi, expected, label: str):
 def grandfather_case(beta: float, theta: float, phi: float):
     """Transmission against the lineshape formula and, at phi = 0, the
     amplitude ratios (0, 1/beta, alpha/beta), all from one solve."""
-    net = build_grandfather(GrandfatherParams(beta, theta, phi))
+    net = build_grandfather(beta, theta, phi)
     sol = solve_closed_form(net, np.ones(1, dtype=complex))
-    ratios = _amplitude_ratios(sol)
+    ratios = [math.sqrt(norm_sq(v)) for v in (sol.psi1, sol.psi2, sol.psi4)]
     transmitted = transmitted_probability(sol)
     analytic = grandfather_transmission(beta, phi)
     tol = 1e-10
@@ -173,7 +146,7 @@ def grandfather_case(beta: float, theta: float, phi: float):
             (label, abs(got - want), tol)
             for label, got, want in zip(labels, ratios, expected)
         ]
-    return checks, {"ratios": list(ratios), "transmitted": transmitted, "analytic": analytic}
+    return checks, {"ratios": ratios, "transmitted": transmitted, "analytic": analytic}
 
 
 def undo_case(seed: int, dim: int, beta: float):
@@ -244,8 +217,11 @@ class PhaseScanResult:
         return numeric is not None and abs(numeric / self.fwhm_predicted - 1.0) > 0.05
 
 
-def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: int) -> PhaseScanResult:
-    """Solve the grandfather network on an inclusive, evenly spaced phi grid.
+def phase_scan(
+    beta: float, phi_min: float, phi_max: float, n_points: int, theta: float = 0.0
+) -> PhaseScanResult:
+    """Solve the grandfather network of ``beta`` and ``theta`` (see
+    :func:`build_grandfather`) on an inclusive, evenly spaced phi grid.
 
     Points come back sorted ascending in phi. The numeric width is read off
     the half-maximum crossings by linear interpolation and is None whenever
@@ -253,22 +229,21 @@ def phase_scan(p: GrandfatherParams, phi_min: float, phi_max: float, n_points: i
     responsibility; keep a couple thousand points across the peak for an
     honest comparison with ``predicted_fwhm``.
     """
-    if p.phi != 0.0:
-        raise ValueError("phase_scan sweeps phi itself; p.phi must be 0")
+    _check_range(beta, theta)
     if n_points < 3:
         raise ValueError("need at least 3 points")
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)) or phi_min >= phi_max:
         raise ValueError("invalid range: need finite phi_min < phi_max")
-    _check_range(p.beta, phi_max - phi_min)  # a finite width gives finite samples
+    _check_range(beta, phi_max - phi_min)  # a finite width gives finite samples
     phis = np.linspace(phi_min, phi_max, n_points).tolist()
-    base = build_grandfather(p)  # g1, g2 and the coupler every point shares
+    base = build_grandfather(beta, theta)  # g1, g2 and the coupler every point shares
     g1, g2, splitter, unit = base.g1, base.g2, base.splitter, np.ones(1, dtype=complex)
-    nets = (FeedbackNetwork(g1, g2, _backward_leg(p.theta, phi), splitter) for phi in phis)
+    nets = (FeedbackNetwork(g1, g2, _backward_leg(theta, phi), splitter) for phi in phis)
     transmitted = np.array([transmitted_probability(solve_closed_form(n, unit)) for n in nets])
     return PhaseScanResult(
         points=tuple(zip(phis, transmitted.tolist())),
         fwhm_numeric=_interpolated_fwhm(phis, transmitted),
-        fwhm_predicted=predicted_fwhm(p.beta),
+        fwhm_predicted=predicted_fwhm(beta),
     )
 
 

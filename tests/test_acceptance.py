@@ -17,10 +17,9 @@ from qtimeloop.network import FeedbackNetwork, solve_closed_form, transmitted_pr
 from qtimeloop.oracle import loop_map, solve_by_iteration
 from qtimeloop.scenarios import (
     SPECIAL_CASES,
-    GrandfatherParams,
     build_grandfather,
     build_undo,
-    grandfather_amplitude_ratios,
+    grandfather_case,
     grandfather_transmission,
     perturbative_check,
     phase_scan,
@@ -45,7 +44,7 @@ def normalized_state(seed, dim):
 
 
 def solve_grandfather(beta, theta=0.0, phi=0.0):
-    net = build_grandfather(GrandfatherParams(beta=beta, theta=theta, phi=phi))
+    net = build_grandfather(beta, theta, phi)
     return solve_closed_form(net, np.ones(1, dtype=complex))
 
 
@@ -108,7 +107,7 @@ def test_criterion_2_lineshape():
 
 
 def test_criterion_3_amplitude_ratios():
-    r1, r2, r4 = grandfather_amplitude_ratios(GrandfatherParams(beta=0.1, phi=0.0))
+    r1, r2, r4 = grandfather_case(0.1, 0.0, 0.0)[1]["ratios"]
     expected = (0.0, 10.0, math.sqrt(0.99) / 0.1)
     worst = max(abs(got - want) for got, want in zip((r1, r2, r4), expected))
     report(3, "amplitude ratios (0, 1/beta, alpha/beta) at beta=0.1", worst, 1e-10)
@@ -138,7 +137,7 @@ def test_criterion_5_width_law():
     for beta in (0.1, 0.2, 0.3):
         predicted = predicted_fwhm(beta)
         window = 1.5 * predicted
-        result = phase_scan(GrandfatherParams(beta=beta), -window, window, 4001)
+        result = phase_scan(beta, -window, window, 4001)
         assert result.fwhm_numeric is not None
         worst = max(worst, abs(result.fwhm_numeric / predicted - 1.0))
     report(5, "numeric FWHM within 1% of 2 beta^2/alpha", worst, 0.01)

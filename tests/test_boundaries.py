@@ -25,7 +25,7 @@ from qtimeloop.linalg import (
 )
 from qtimeloop.network import FeedbackNetwork, solve_closed_form, verify_fixed_point
 from qtimeloop.oracle import NotConvergedError, loop_map, solve_by_iteration
-from qtimeloop.scenarios import GrandfatherParams, _interpolated_fwhm, phase_scan
+from qtimeloop.scenarios import _interpolated_fwhm, build_grandfather, phase_scan
 
 
 def test_oracle_runs_a_budget_of_one_traversal_and_a_tol_of_zero():
@@ -88,11 +88,11 @@ def test_random_unitary_draws_at_the_dimension_cap():
 
 def test_grandfather_rejects_beta_zero_as_outside_the_open_interval():
     with pytest.raises(ValueError, match="strictly inside"):
-        GrandfatherParams(beta=0.0)
+        build_grandfather(0.0)
 
 
 def test_phase_scan_runs_three_points():
-    result = phase_scan(GrandfatherParams(beta=0.1, theta=0.7), -1.0, 1.0, 3)
+    result = phase_scan(0.1, -1.0, 1.0, 3, theta=0.7)
     assert [phi for phi, _ in result.points] == [-1.0, 0.0, 1.0]
 
 

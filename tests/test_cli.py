@@ -342,6 +342,22 @@ def test_beta_below_the_lineshape_range_exits_1(argv, capsys):
     assert captured.err == "error: beta 1e-90 is below 1e-75, out of the lineshape's range\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--beta", "2", "--points", "2"], "beta must lie strictly inside (0, 1)"),
+    (["--beta", "1e-90", "--theta", "inf"], "beta 1e-90 is below 1e-75, out of the lineshape's range"),
+    (["--beta", "0.5", "--theta", "inf", "--points", "2"], "theta and phi must be finite"),
+    (["--beta", "0.5", "--points", "2", "--phi-min", "1", "--phi-max", "0"], "need at least 3 points"),
+    (["--beta", "0.5", "--phi-min", "1", "--phi-max", "0", "--theta", "nan"], "theta and phi must be finite"),
+], ids=["beta-over-points", "tiny-beta-over-theta", "theta-over-points", "points-over-window",
+        "theta-over-window"])
+def test_scan_reports_the_first_bad_input(argv, message, capsys):
+    # beta, then theta, then points, then the window
+    assert main(["scan", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------- scan
 
 def test_scan_csv_contents_and_footer(tmp_path):

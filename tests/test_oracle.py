@@ -13,7 +13,7 @@ from qtimeloop.network import (
     verify_fixed_point,
 )
 from qtimeloop.oracle import NotConvergedError, _iterate, loop_map, solve_by_iteration
-from qtimeloop.scenarios import GrandfatherParams, build_grandfather
+from qtimeloop.scenarios import build_grandfather
 
 
 def normalized_state(seed, dim):
@@ -89,17 +89,17 @@ def test_iteration_matches_closed_form_on_contractive_networks(seed, dim):
 def test_report_carries_the_exact_loop_radius():
     net = contractive_network(20, 4)
     _, report = solve_by_iteration(net, normalized_state(2, 4))
-    assert report.loop_spectral_radius_estimate == spectral_radius(loop_map(net)[0])
+    assert report.loop_spectral_radius == spectral_radius(loop_map(net)[0])
 
 
 def test_iteration_blocked_channel_recovers_full_transmission():
-    net = build_grandfather(GrandfatherParams(beta=0.1, phi=0.0))
+    net = build_grandfather(0.1, phi=0.0)
     sol, report = solve_by_iteration(net, np.ones(1, dtype=complex))
     assert report.converged
     assert report.iterations_used <= 10_000
     assert transmitted_probability(sol) == pytest.approx(1.0, abs=1e-8)
     # convergence ratio is alpha^2 = 0.99 for this loop
-    assert report.loop_spectral_radius_estimate == pytest.approx(0.99, abs=1e-6)
+    assert report.loop_spectral_radius == pytest.approx(0.99, abs=1e-6)
 
 
 def test_iteration_transparent_coupler_converges_immediately():
@@ -198,9 +198,7 @@ def _d1_map(net, psi):
 D1_MAPS = {
     **{
         f"grandfather-beta{beta}": (
-            *_d1_map(
-                build_grandfather(GrandfatherParams(beta=beta, theta=0.7)), cmath.exp(0.9j)
-            ),
+            *_d1_map(build_grandfather(beta, theta=0.7), cmath.exp(0.9j)),
             1_000_000,
         )
         for beta in (0.3, 0.1, 0.03)
@@ -210,9 +208,7 @@ D1_MAPS = {
         100,
     ),
     "budget-3": (
-        *_d1_map(
-            build_grandfather(GrandfatherParams(beta=0.1, theta=0.7, phi=0.3)), cmath.exp(0.9j)
-        ),
+        *_d1_map(build_grandfather(0.1, theta=0.7, phi=0.3), cmath.exp(0.9j)),
         3,
     ),
     # |T| > 1: the iterate overflows to inf
@@ -308,7 +304,7 @@ def test_scalar_recurrence_stops_at_the_first_step_within_tol():
 TAIL_CASES = {
     **{
         f"grandfather-beta{beta}-phase{phase}": (
-            build_grandfather(GrandfatherParams(beta=beta, theta=0.7)), [cmath.exp(1j * phase)]
+            build_grandfather(beta, theta=0.7), [cmath.exp(1j * phase)]
         )
         for beta in (0.3, 0.1, 0.03)
         for phase in (0.0, 1.1, -2.0)
@@ -366,7 +362,7 @@ def test_d1_products_keep_the_ieee_signed_zero_in_both_solvers():
 ])
 def test_grandfather_traversal_counts(phase, beta, traversals):
     for theta in (0.0, 0.7, -2.9, 1.3):
-        net = build_grandfather(GrandfatherParams(beta=beta, theta=theta))
+        net = build_grandfather(beta, theta=theta)
         _, report = solve_by_iteration(net, [cmath.exp(1j * phase)])
         assert (report.iterations_used, report.converged) == (traversals, True)
 

@@ -6,7 +6,9 @@ digits from the same float beta and phi, at the peak and at both
 half-maximum points. Each bound is as tight as today's closed form passes.
 The loop denominator forms alpha^2 as sqrt(1 - beta^2)^2 and, near
 resonance, subtracts it from 1, so the error grows like 1e-16 / beta^2: at
-beta = 1e-6 it is 1.8e-4, the one case marked xfail.
+beta = 1e-6 it is 1.8e-4, a case marked xfail. Below beta ~ 3e-8 alpha^2 rounds
+to 1, so even the theta = 0 peak, whose data are exact, is wrong or singular:
+those cases are marked xfail too.
 
 The three exact limits and the undo construction are compared the same way:
 psi3' of a seeded instance at d = 1, 2, 4 and 16 against g1 psi (or -g2 psi)
@@ -41,7 +43,6 @@ from qtimeloop.network import (
     transmitted_probability,
 )
 from qtimeloop.scenarios import (
-    GrandfatherParams,
     _random_instance,
     _random_state,
     build_grandfather,
@@ -59,7 +60,7 @@ def reference_transmission(beta: float, phi: float):
 
 
 def relative_error(beta: float, phi: float) -> float:
-    net = build_grandfather(GrandfatherParams(beta, THETA, phi))
+    net = build_grandfather(beta, THETA, phi)
     got = transmitted_probability(solve_closed_form(net, np.ones(1, dtype=complex)))
     want = reference_transmission(beta, phi)
     with mpmath.workdps(50):
@@ -80,6 +81,18 @@ def test_grandfather_transmission_matches_the_50_digit_lineshape(beta, half_widt
 @pytest.mark.xfail(strict=True, reason="1 - alpha^2 cancels at small beta: off by 1.8e-4")
 def test_grandfather_peak_is_exact_at_tiny_beta():
     assert relative_error(1e-6, 0.0) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, SingularDenominatorError),
+    reason="alpha^2 = 1 - beta^2 rounds to 1 below beta ~ 3e-8: 1 - alpha^2 m g2 is off or 0",
+)
+@pytest.mark.parametrize("beta", [3e-8, 1e-8, 1e-9])
+def test_grandfather_peak_below_the_rounding_of_alpha_squared(beta):
+    # at theta = phi = 0 the data are exact and the paper's T = 1 holds exactly
+    sol = solve_closed_form(build_grandfather(beta), np.ones(1, dtype=complex))
+    assert abs(transmitted_probability(sol) - 1.0) <= 1e-12
 
 
 def reference_output(g, psi, sign: int):
@@ -311,6 +324,6 @@ def test_d1_solution_with_a_denominator_near_the_largest_double():
 def test_grandfather_near_resonance_is_within_the_data_reference_bound(beta):
     # where the lineshape reference above fails at beta = 1e-6, the data reference holds
     for theta, half_widths in itertools.product((0.0, 0.7, -2.9), (0.0, 0.5, -0.5, 2.0)):
-        net = build_grandfather(GrandfatherParams(beta, theta, half_widths * predicted_fwhm(beta)))
+        net = build_grandfather(beta, theta, half_widths * predicted_fwhm(beta))
         reference = network_reference(net.g1.item(), net.g2.item(), net.m.item(), net.splitter)
         assert_within_the_data_reference(solve_d1(net, 1.0), reference, 1.0)

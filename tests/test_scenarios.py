@@ -10,11 +10,9 @@ from qtimeloop.linalg import SingularMatrixError, SplitterParams, norm_sq, rando
 from qtimeloop.network import solve_closed_form, transmitted_probability
 from qtimeloop.scenarios import (
     SPECIAL_CASES,
-    GrandfatherParams,
     _interpolated_fwhm,
     build_grandfather,
     build_undo,
-    grandfather_amplitude_ratios,
     grandfather_case,
     grandfather_transmission,
     perturbative_case,
@@ -33,7 +31,7 @@ def normalized_state(seed, dim):
 
 
 def solve_grandfather(beta, theta=0.0, phi=0.0):
-    net = build_grandfather(GrandfatherParams(beta=beta, theta=theta, phi=phi))
+    net = build_grandfather(beta, theta, phi)
     return solve_closed_form(net, np.ones(1, dtype=complex))
 
 
@@ -41,25 +39,26 @@ def solve_grandfather(beta, theta=0.0, phi=0.0):
 
 def test_build_grandfather_loop_product_is_pure_phi_phase():
     for theta in (0.0, 1.1, -2.5):
-        net = build_grandfather(GrandfatherParams(beta=0.2, theta=theta, phi=0.0))
+        net = build_grandfather(0.2, theta, 0.0)
         assert (net.m @ net.g2)[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert np.all(net.g1 == 0)
 
 
 def test_grandfather_params_validation():
     with pytest.raises(ValueError):
-        GrandfatherParams(beta=0.0)
+        build_grandfather(0.0)
     with pytest.raises(ValueError):
-        GrandfatherParams(beta=1.0)
+        build_grandfather(1.0)
     with pytest.raises(ValueError):
-        GrandfatherParams(beta=0.5, theta=float("inf"))
+        build_grandfather(0.5, theta=float("inf"))
 
 
 def test_grandfather_params_reject_a_beta_the_lineshape_cannot_take():
     # alpha^2 / beta^4 overflows below beta ~ 1e-77; beta^4 underflows to 0 below ~1e-81
     with pytest.raises(ValueError, match="below 1e-75"):
-        GrandfatherParams(beta=1e-76)
-    assert grandfather_transmission(GrandfatherParams(beta=1e-75).beta, 0.0) == 1.0
+        build_grandfather(1e-76)
+    assert build_grandfather(1e-75).splitter.beta == 1e-75
+    assert grandfather_transmission(1e-75, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("beta", [1e-78, 1e-90, 0.0, 1.0, math.nan])
@@ -111,12 +110,12 @@ def test_transmission_even_and_periodic_in_phi():
 
 
 def test_amplitude_ratios_at_zero_phi():
-    r1, r2, r4 = grandfather_amplitude_ratios(GrandfatherParams(beta=0.1))
+    r1, r2, r4 = grandfather_case(0.1, 0.0, 0.0)[1]["ratios"]
     assert r1 == pytest.approx(0.0, abs=1e-10)
     assert r2 == pytest.approx(10.0, abs=1e-10)
     assert r4 == pytest.approx(math.sqrt(0.99) / 0.1, abs=1e-10)
 
-    r1, r2, r4 = grandfather_amplitude_ratios(GrandfatherParams(beta=0.5))
+    r1, r2, r4 = grandfather_case(0.5, 0.0, 0.0)[1]["ratios"]
     assert r1 == pytest.approx(0.0, abs=1e-10)
     assert r2 == pytest.approx(2.0, abs=1e-10)
     assert r4 == pytest.approx(math.sqrt(3.0), abs=1e-10)
@@ -124,7 +123,7 @@ def test_amplitude_ratios_at_zero_phi():
 
 @pytest.mark.parametrize("beta", [0.02, 0.1, 0.33, 0.8])
 def test_first_channel_amplitude_cancels_for_any_beta(beta):
-    r1, _, _ = grandfather_amplitude_ratios(GrandfatherParams(beta=beta))
+    r1, _, _ = grandfather_case(beta, 0.0, 0.0)[1]["ratios"]
     assert r1 <= 1e-10
 
 
@@ -242,7 +241,7 @@ def test_perturbative_gamma_bounds():
 # ---------------------------------------------------------------- phase scan
 
 def test_phase_scan_full_window():
-    result = phase_scan(GrandfatherParams(beta=0.3), -math.pi, math.pi, 4001)
+    result = phase_scan(0.3, -math.pi, math.pi, 4001)
     phis = [p for p, _ in result.points]
     values = [v for _, v in result.points]
     assert phis == sorted(phis)
@@ -261,18 +260,18 @@ def test_phase_scan_full_window():
 def test_phase_scan_points_are_the_worked_case_networks_bit_for_bit(beta, theta):
     # the scan builds its networks inline; theta != 0, as g2 = 1 at theta = 0 hides rounding
     half = math.pi if beta >= 0.1 else 20.0 * predicted_fwhm(beta)
-    points = phase_scan(GrandfatherParams(beta, theta), -half, half, 4001).points
+    points = phase_scan(beta, -half, half, 4001, theta=theta).points
     peak = int(np.argmax([value for _, value in points]))
     for k in sorted({*range(0, 4001, 80), peak}):
         phi, value = points[k]
-        net = build_grandfather(GrandfatherParams(beta, theta, phi))
+        net = build_grandfather(beta, theta, phi)
         assert value == transmitted_probability(solve_closed_form(net, [1])), (k, phi)
 
 
 def test_phase_scan_small_angle_lorentzian_limit():
     beta = 0.3
     window = beta**2 / 10.0
-    result = phase_scan(GrandfatherParams(beta=beta), -window, window, 201)
+    result = phase_scan(beta, -window, window, 201)
     alpha_sq = 1 - beta**2
     for phi, value in result.points:
         lorentzian = 1.0 / (1.0 + alpha_sq * phi**2 / beta**4)
@@ -280,15 +279,15 @@ def test_phase_scan_small_angle_lorentzian_limit():
 
 
 def test_phase_scan_width_absent_when_crossings_leave_window():
-    result = phase_scan(GrandfatherParams(beta=0.3), -0.01, 0.01, 101)
+    result = phase_scan(0.3, -0.01, 0.01, 101)
     assert result.fwhm_numeric is None
 
 
 def test_width_out_of_regime_reads_the_five_percent_verdict():
-    assert not phase_scan(GrandfatherParams(beta=0.3), -math.pi, math.pi, 4001).width_out_of_regime
-    assert phase_scan(GrandfatherParams(beta=0.9), -math.pi, math.pi, 2001).width_out_of_regime
+    assert not phase_scan(0.3, -math.pi, math.pi, 4001).width_out_of_regime
+    assert phase_scan(0.9, -math.pi, math.pi, 2001).width_out_of_regime
     # no numeric width, so no verdict
-    assert not phase_scan(GrandfatherParams(beta=0.3), -0.01, 0.01, 101).width_out_of_regime
+    assert not phase_scan(0.3, -0.01, 0.01, 101).width_out_of_regime
 
 
 U = Fraction(1, 2**53)  # unit roundoff
@@ -373,18 +372,12 @@ def test_interpolated_fwhm_of_a_product_past_the_float_range(x, y, width):
 
 
 def test_phase_scan_validates_range():
-    p = GrandfatherParams(beta=0.5)
     with pytest.raises(ValueError):
-        phase_scan(p, 0.0, 0.0, 101)
+        phase_scan(0.5, 0.0, 0.0, 101)
     with pytest.raises(ValueError):
-        phase_scan(p, 1.0, -1.0, 101)
+        phase_scan(0.5, 1.0, -1.0, 101)
     with pytest.raises(ValueError):
-        phase_scan(p, -1.0, 1.0, 2)
-
-
-def test_phase_scan_rejects_a_phi_it_would_ignore():
-    with pytest.raises(ValueError, match="p.phi must be 0"):
-        phase_scan(GrandfatherParams(beta=0.3, phi=1.0), -math.pi, math.pi, 11)
+        phase_scan(0.5, -1.0, 1.0, 2)
 
 
 def test_predicted_fwhm_tracks_half_max_of_formula():
