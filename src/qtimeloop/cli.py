@@ -90,7 +90,7 @@ def cmd_solve(args) -> int:
     timestamp = None
     if not args.no_timestamp:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    record = build_run_record(cfg, solution, version=__version__, timestamp=timestamp, oracle=oracle)
+    record = build_run_record(cfg, solution, timestamp=timestamp, oracle=oracle)
     pieces = json_pieces if args.format == "json" else csv_pieces
     _write_output(pieces(record), args.out)
     return EXIT_OK
@@ -142,14 +142,7 @@ def cmd_scan(args) -> int:
     _write_output(_scan_lines(result, args.beta), args.out)
 
     if args.svg:
-        xs, ys = zip(*result.points)
-        svg = polyline_plot(
-            xs,
-            ys,
-            x_label="phi (rad)",
-            y_label="transmitted probability",
-            title=f"beta={args.beta:g} theta={args.theta:g}",
-        )
+        svg = polyline_plot(result.points, title=f"beta={args.beta:g} theta={args.theta:g}")
         _write_output((svg,), args.svg)
     return EXIT_OK
 

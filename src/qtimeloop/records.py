@@ -4,11 +4,11 @@ Complex numbers serialize as {"re": ..., "im": ...}; floats go through
 Python's shortest round-trip repr, so a record survives a JSON round trip
 bit for bit. ``json_pieces`` yields ``json.dumps(record, indent=2)`` plus a
 newline in pieces, one per dict key and matrix row, for the CLI to write as
-they are made; ``record_to_json`` joins them. Two renderers are the
-package's own: a list of finite {re, im} float entries, the bulk of a record,
-takes one ``%`` template per entry (json's ``indent`` encoder is pure
-Python), and a finite float its ``float.__repr__``. Every other value, its
-tokens and its TypeError, is ``json.dumps``'s.
+they are made. Two renderers are the package's own: a list of finite {re, im}
+float entries, the bulk of a record, takes one ``%`` template per entry
+(json's ``indent`` encoder is pure Python), and a finite float its
+``float.__repr__``. Every other value, its tokens and its TypeError, is
+``json.dumps``'s.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import __version__
 from .network import NetworkSolution, transmitted_probability
 
 
@@ -25,7 +26,6 @@ def build_run_record(
     config_echo: dict,
     sol: NetworkSolution,
     *,
-    version: str,
     timestamp: str | None = None,
     oracle: dict | None = None,
 ) -> dict:
@@ -34,7 +34,7 @@ def build_run_record(
     The timestamp is isolated in its own optional field so comparison runs
     can drop it and diff the rest byte for byte.
     """
-    record: dict = {"tool": "qtimeloop", "version": version}
+    record: dict = {"tool": "qtimeloop", "version": __version__}
     if timestamp is not None:
         record["timestamp"] = timestamp
     record["config"] = config_echo
@@ -68,20 +68,13 @@ def csv_pieces(record: dict):
         yield f"oracle_relative_difference,,{oracle['relative_difference']!r},\n"
 
 
-def record_to_json(record) -> str:
-    """``json.dumps(record, indent=2) + "\\n"``, byte for byte.
-
-    Only a dict ``json_pieces`` opens, the record and each non-empty dict not
-    in a list, takes nothing but str keys; elsewhere json's key rule holds.
-    """
-    return "".join(json_pieces(record))
-
-
 def json_pieces(value, newline: str = "\n", end: str = "\n"):
-    """``record_to_json(value)`` in pieces, to write as they are made.
+    """``json.dumps(value, indent=2) + "\\n"`` in pieces, to write as they are made.
 
     A dict opens into its keys and a list of lists (a matrix) into its rows;
-    any other value, a whole {re, im} vector or row too, is one piece.
+    any other value, a whole {re, im} vector or row too, is one piece. Only a
+    dict ``json_pieces`` opens, the value and each non-empty dict not in a
+    list, takes nothing but str keys; elsewhere json's key rule holds.
     """
     if not _opens(value):
         yield _to_json(value, newline) + end

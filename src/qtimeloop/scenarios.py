@@ -53,7 +53,7 @@ def build_grandfather(beta: float, theta: float = 0.0, phi: float = 0.0) -> Feed
     m g2 = e^{i phi}. theta cancels out of every observable; it is kept
     explicit because that cancellation is itself worth regression-testing.
     """
-    _check_range(beta, theta, phi)
+    _check_range(beta, theta, phi, theta + phi)
     g1 = np.zeros((1, 1), dtype=complex)
     g2 = np.array([[cmath.exp(-1j * theta)]])
     return FeedbackNetwork(g1, g2, _backward_leg(theta, phi), SplitterParams.from_beta(beta))
@@ -234,7 +234,7 @@ def phase_scan(
         raise ValueError("need at least 3 points")
     if not (math.isfinite(phi_min) and math.isfinite(phi_max)) or phi_min >= phi_max:
         raise ValueError("invalid range: need finite phi_min < phi_max")
-    _check_range(beta, phi_max - phi_min)  # a finite width gives finite samples
+    _check_range(beta, phi_max - phi_min, theta + phi_min, theta + phi_max)  # finite phis and m
     phis = np.linspace(phi_min, phi_max, n_points).tolist()
     base = build_grandfather(beta, theta)  # g1, g2 and the coupler every point shares
     g1, g2, splitter, unit = base.g1, base.g2, base.splitter, np.ones(1, dtype=complex)
@@ -259,5 +259,5 @@ def _interpolated_fwhm(x, y) -> float | None:
     ends = []
     for i, inner in ((left[-1], left[-1] + 1), (right[0], right[0] - 1)):
         x0, y0, x1, y1 = x[inner], y[inner], x[i], y[i]
-        ends.append(float(x1) if y1 == y0 else float(x0 + (half - y0) * (x1 - x0) / (y1 - y0)))
+        ends.append(float(x1) if y1 == y0 else float(x0 + (half - y0) / (y1 - y0) * (x1 - x0)))
     return ends[1] - ends[0]

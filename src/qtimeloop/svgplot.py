@@ -1,11 +1,12 @@
-"""Minimal static SVG line plots: no plotting dependency, deterministic bytes."""
+"""The scan's SVG plot, transmitted probability against phi: no plotting
+dependency, deterministic bytes."""
 
 from __future__ import annotations
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _esc(text: str) -> str:
@@ -15,16 +16,16 @@ def _esc(text: str) -> str:
 WIDTH, HEIGHT = 800, 600
 
 
-def polyline_plot(xs, ys, *, x_label: str, y_label: str, title: str) -> str:
-    """Render ys against xs as a single polyline in a WIDTH x HEIGHT SVG document.
+def polyline_plot(points, *, title: str) -> str:
+    """Render a scan's (phi, transmitted) pairs as one polyline in a WIDTH x HEIGHT SVG document.
 
     Coordinates are emitted at fixed precision so identical data produce
     identical bytes.
     """
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two matching x/y samples")
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    if len(xs) < 2:
+        raise ValueError("need at least two samples")
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         raise ValueError("x range is degenerate")
@@ -73,15 +74,15 @@ def polyline_plot(xs, ys, *, x_label: str, y_label: str, title: str) -> str:
     mid = top + plot_h / 2
     parts.append(
         f'<text x="{left + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_esc(x_label)}</text>'
+        'font-family="sans-serif" font-size="13">phi (rad)</text>'
     )
     parts.append(
         f'<text x="18" y="{mid:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 18 {mid:.1f})">{_esc(y_label)}</text>'
+        f'font-size="13" transform="rotate(-90 18 {mid:.1f})">transmitted probability</text>'
     )
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(
-        f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
+        f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

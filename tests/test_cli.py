@@ -7,12 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtimeloop import __version__
 from qtimeloop.cli import main
 from qtimeloop.config import load_config, parse_config
 from qtimeloop.linalg import random_unitary
 from qtimeloop.network import solve_closed_form
-from qtimeloop.records import build_run_record, csv_pieces, record_to_json
+from qtimeloop.records import build_run_record, csv_pieces, json_pieces
 
 
 def json_to_vector(items):
@@ -405,6 +404,21 @@ def test_scan_window_wider_than_the_float_range_exits_1_with_one_error_line():
     assert proc.stderr == "error: theta and phi must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "grandfather", "--theta", "1e308", "--phi", "1e308"],
+    ["scan", "--beta", "0.3", "--theta", "1e308", "--phi-min=0", "--phi-max=1e308",
+     "--points", "5"],
+    ["scan", "--beta", "0.3", "--theta=-1e308", "--phi-min=-1e308", "--phi-max=0",
+     "--points", "5"],
+], ids=["scenario", "scan-phi-max", "scan-phi-min"])
+def test_a_theta_plus_phi_past_the_float_range_exits_1_naming_the_phases(argv, capsys):
+    # each phase is finite, but m = e^{i(theta + phi)} is not
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta and phi must be finite\n"
+
+
 def test_scan_too_few_points_exits_1(capsys):
     assert main(["scan", "--beta", "0.5", "--points", "2"]) == 1
 
@@ -462,9 +476,9 @@ def test_solve_writes_the_rendered_record_to_stdout_and_out(dim, fmt, tmp_path, 
         cfg = write_config(tmp_path, g1="random-unitary:3", g2="random-unitary:4",
                            m="phase:0.7", beta=0.4)
     raw = load_config(cfg)
-    record = build_run_record(raw, solve_closed_form(*parse_config(raw)), version=__version__)
+    record = build_run_record(raw, solve_closed_form(*parse_config(raw)))
     if fmt == "json":
-        expected = record_to_json(record).encode()
+        expected = "".join(json_pieces(record)).encode()
         assert expected == (json.dumps(record, indent=2) + "\n").encode()
     else:
         expected = "".join(csv_pieces(record)).encode()

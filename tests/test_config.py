@@ -7,7 +7,7 @@ import pytest
 
 from qtimeloop.config import ConfigError, load_config, parse_config
 from qtimeloop.network import NetworkSolution, solve_closed_form
-from qtimeloop.records import build_run_record, csv_pieces, record_to_json
+from qtimeloop.records import build_run_record, csv_pieces, json_pieces
 
 
 def json_to_vector(items):
@@ -276,7 +276,7 @@ def test_complex_round_trip_is_exact():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     sol = NetworkSolution(*[v] * 8, None, 0.0, 0.0)
-    record = json.loads(record_to_json(build_run_record({}, sol, version="0")))
+    record = json.loads("".join(json_pieces(build_run_record({}, sol))))
     for vector in record["solution"].values():
         np.testing.assert_array_equal(json_to_vector(vector), v)
 
@@ -286,13 +286,13 @@ def test_run_record_survives_json_round_trip():
                       input_state="basis:0")
     net, psi = parse_config(cfg)
     sol = solve_closed_form(net, psi)
-    record = build_run_record(cfg, sol, version="0.1.0", timestamp=None,
+    record = build_run_record(cfg, sol, timestamp=None,
                               oracle={"iterations": 12, "relative_difference": 3.5e-11})
     assert json.loads(json.dumps(record)) == record
     assert record["transmitted_probability"] == pytest.approx(1.0, abs=1e-10)
     assert math.isfinite(record["denominator_condition"])
     assert "timestamp" not in record
-    stamped = build_run_record(cfg, sol, version="0.1.0", timestamp="2026-01-01T00:00:00+00:00")
+    stamped = build_run_record(cfg, sol, timestamp="2026-01-01T00:00:00+00:00")
     assert stamped["timestamp"] == "2026-01-01T00:00:00+00:00"
 
 
@@ -300,7 +300,7 @@ def test_record_csv_layout():
     cfg = base_config(dim=1, g1="zero", g2="identity", m="identity", beta=0.1,
                       input_state="basis:0")
     net, psi = parse_config(cfg)
-    record = build_run_record(cfg, solve_closed_form(net, psi), version="0.1.0")
+    record = build_run_record(cfg, solve_closed_form(net, psi))
     text = "".join(csv_pieces(record))
     lines = text.strip().split("\n")
     assert lines[0] == "quantity,component,re,im"
